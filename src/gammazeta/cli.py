@@ -361,6 +361,9 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"numeric-domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except OverflowError as exc:  # a value beyond the float range, e.g. Gamma(201)
+        print(f"numeric-domain error: float overflow ({exc})", file=sys.stderr)
+        return EXIT_DOMAIN
     except BudgetExceededError as exc:
         print(f"quadrature budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

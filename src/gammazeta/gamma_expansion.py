@@ -34,28 +34,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from numbers import Rational
 
+from . import factorial_series as fs
 from .bell import TruncatedSeries
-from .combinatorics import CachedTriangle, binomial, stirling1
+from .combinatorics import binomial, stirling1
 from .report import DomainError, PoleProximityError, SeriesReport
 
 POLE_TOLERANCE = 1e-12
 
-
-def _coeff_row(rows: list[list[int]], n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    prev = rows[n - 1]
-    row = [0] * (n + 1)
-    for b in range(1, n + 1):
-        upper = prev[b] if b < len(prev) else 0
-        row[b] = (n + b - 1) * (upper + prev[b - 1])
-    return row
-
+#: the Gamma side of the factorial-series engine (row stride 1)
+SIDE = fs.kernel_side(1)
 
 #: c[a,b] built by the two-term recurrence.
-GAMMA_COEFFS = CachedTriangle(_coeff_row)
+GAMMA_COEFFS = SIDE.triangle
 
 
 def coeff(alpha: int, beta: int) -> int:
@@ -101,122 +92,6 @@ def log_series_bell_value(alpha: int, beta: int) -> Fraction:
     return Fraction(factorial(alpha) * coeff(alpha, beta), factorial(alpha + beta))
 
 
-def _as_fraction(s) -> Fraction | None:
-    """Exact rational view of s, or None when s is truly complex/irrational.
-
-    Floats convert exactly (their binary value is rational), so the
-    exact backend serves every real argument.
-    """
-    if isinstance(s, Rational):
-        return Fraction(s)
-    if isinstance(s, float):
-        return Fraction(s)
-    if isinstance(s, complex):
-        if s.imag == 0.0:
-            return Fraction(s.real)
-        return None
-    raise TypeError(f"unsupported argument type {type(s)!r}")
-
-
-def _check_pole(den, label: str) -> None:
-    if isinstance(den, Fraction):
-        bad = den == 0
-    else:
-        bad = abs(den) < POLE_TOLERANCE
-    if bad:
-        raise PoleProximityError(f"denominator {label} vanishes")
-
-
-def _terms_exact_direct(p: int, q: int, n_terms: int) -> list[float]:
-    GAMMA_COEFFS.ensure(n_terms - 1)
-    terms = [q / (p + q)]
-    falling = [1] * n_terms  # falling[b] = prod_{j<b} (p - j q) = q**b * (s)_b
-    for b in range(1, n_terms):
-        falling[b] = falling[b - 1] * (p - (b - 1) * q)
-    for a in range(1, n_terms):
-        row = GAMMA_COEFFS.row(a)
-        num = 0
-        rising = 1  # (2a)!/(a+b)! accumulated while b descends from a
-        qpow = 1    # q**(a-b)
-        for b in range(a, 0, -1):
-            num += falling[b] * row[b] * qpow * rising
-            rising *= a + b
-            qpow *= q
-        den = q**a * factorial(2 * a) * (p + (a + 1) * q)
-        terms.append((num * q) / den)
-    return terms
-
-
-def _terms_exact_recurrence(p: int, q: int, n_terms: int) -> list[float]:
-    # integer form of the g-recurrence: M[a,b] = q**b (a+b)! g[a,b] satisfies
-    # M[a,b] = (a+b-1) (M[a-1,b] + (p-(b-1)q) M[a-1,b-1]), M[0,0] = 1
-    terms = [q / (p + q)]
-    prev = [1]
-    for a in range(1, n_terms):
-        row = [0] * (a + 1)
-        for b in range(1, a + 1):
-            upper = prev[b] if b < len(prev) else 0
-            row[b] = (a + b - 1) * (upper + (p - (b - 1) * q) * prev[b - 1])
-        num = 0
-        rising = 1
-        qpow = 1
-        for b in range(a, 0, -1):
-            num += row[b] * qpow * rising
-            rising *= a + b
-            qpow *= q
-        den = q**a * factorial(2 * a) * (p + (a + 1) * q)
-        terms.append((num * q) / den)
-        prev = row
-    return terms
-
-
-def _float_weights(a: int) -> list[float]:
-    # c[a,b] * b!/(a+b)! as floats; folding b! into the exact factor keeps
-    # both float factors in range ((s)_b alone overflows past b ~ 170)
-    row = GAMMA_COEFFS.row(a)
-    out = [0.0] * (a + 1)
-    ratio = factorial(a)  # (a+b)!/b!, advanced by *(a+b)/b per step
-    for b in range(1, a + 1):
-        ratio = ratio * (a + b) // b
-        out[b] = row[b] / ratio  # int/int true division is correctly rounded
-    return out
-
-
-def _terms_float_direct(s: complex, n_terms: int) -> list[complex]:
-    GAMMA_COEFFS.ensure(n_terms - 1)
-    _check_pole(s + 1, "s+1")
-    terms = [1 / (s + 1)]
-    # binom[b] = (s)_b / b!, numerically tame for all b
-    binom = [1.0 + 0j] * n_terms
-    for b in range(1, n_terms):
-        binom[b] = binom[b - 1] * (s - b + 1) / b
-    for a in range(1, n_terms):
-        w = _float_weights(a)
-        inner = 0j
-        for b in range(a, 0, -1):  # smallest summands first
-            inner += binom[b] * w[b]
-        den = s + a + 1
-        _check_pole(den, f"s+{a + 1}")
-        terms.append(inner / den)
-    return terms
-
-
-def _terms_float_recurrence(s: complex, n_terms: int) -> list[complex]:
-    _check_pole(s + 1, "s+1")
-    terms = [1 / (s + 1)]
-    prev = [1.0 + 0j]
-    for a in range(1, n_terms):
-        row = [0j] * (a + 1)
-        for b in range(1, a + 1):
-            upper = prev[b] if b < len(prev) else 0j
-            row[b] = (a + b - 1) / (a + b) * upper + (s - b + 1) / (a + b) * prev[b - 1]
-        den = s + a + 1
-        _check_pole(den, f"s+{a + 1}")
-        terms.append(sum(row[b] for b in range(a, 0, -1)) / den)
-        prev = row
-    return terms
-
-
 def expansion_terms(s, n_terms: int, path: str = "direct") -> list[complex]:
     """The first ``n_terms`` terms of the expansion (index a = 0..n_terms-1).
 
@@ -225,39 +100,23 @@ def expansion_terms(s, n_terms: int, path: str = "direct") -> list[complex]:
     ("recurrence"). Rational s evaluates exactly termwise; complex s in
     floating point.
     """
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    if path not in ("direct", "recurrence"):
-        raise ValueError(f"unknown path {path!r}")
-    frac = _as_fraction(s)
+    fs.check_request(n_terms, path)
+    frac = fs.as_fraction(s)
     if frac is not None:
         if frac <= -1:
             raise DomainError("expansion requires Re(s) > -1")
-        p, q = frac.numerator, frac.denominator
-        pole = -frac - 1  # s = -(a+1) hits term a
-        if pole == int(pole) and 0 <= int(pole) < n_terms:
-            raise PoleProximityError(f"s = {s} sits on the pole s+{int(pole) + 1} = 0")
-        if path == "direct":
-            out = _terms_exact_direct(p, q, n_terms)
-        else:
-            out = _terms_exact_recurrence(p, q, n_terms)
-        return [complex(t) for t in out]
+        return fs.exact_terms(SIDE, frac, n_terms, path)
     sc = complex(s)
     if sc.real <= -1:
         raise DomainError("expansion requires Re(s) > -1")
-    if path == "direct":
-        return _terms_float_direct(sc, n_terms)
-    return _terms_float_recurrence(sc, n_terms)
+    if abs(sc + 1) < POLE_TOLERANCE:
+        raise PoleProximityError("denominator s+1 vanishes")
+    return fs.float_terms(SIDE, sc, n_terms, path)
 
 
 def partial_sums(s, n_terms: int, path: str = "direct") -> list[complex]:
     """Running partial sums of :func:`expansion_terms`."""
-    out = []
-    acc = 0j
-    for t in expansion_terms(s, n_terms, path):
-        acc += t
-        out.append(acc)
-    return out
+    return fs.running_sums(expansion_terms(s, n_terms, path))
 
 
 def integrand_coeffs(s, order: int) -> TruncatedSeries:
@@ -265,36 +124,7 @@ def integrand_coeffs(s, order: int) -> TruncatedSeries:
 
     Exact Fractions for rational s, complex otherwise. A_0 = 1.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    GAMMA_COEFFS.ensure(order)
-    frac = _as_fraction(s)
-    if frac is not None:
-        p, q = frac.numerator, frac.denominator
-        coeffs: list = [Fraction(1)]
-        falling = [1] * (order + 1)
-        for b in range(1, order + 1):
-            falling[b] = falling[b - 1] * (p - (b - 1) * q)
-        for a in range(1, order + 1):
-            row = GAMMA_COEFFS.row(a)
-            num = 0
-            rising = 1
-            qpow = 1
-            for b in range(a, 0, -1):
-                num += falling[b] * row[b] * qpow * rising
-                rising *= a + b
-                qpow *= q
-            coeffs.append(Fraction(num, q**a * factorial(2 * a)))
-        return TruncatedSeries(coeffs)
-    sc = complex(s)
-    coeffs = [1 + 0j]
-    binom = [1.0 + 0j] * (order + 1)
-    for b in range(1, order + 1):
-        binom[b] = binom[b - 1] * (sc - b + 1) / b
-    for a in range(1, order + 1):
-        w = _float_weights(a)
-        coeffs.append(sum(binom[b] * w[b] for b in range(a, 0, -1)))
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries(fs.coefficients(SIDE, s, order))
 
 
 def evaluate(s, n_terms: int, path: str = "direct") -> SeriesReport:
@@ -302,11 +132,4 @@ def evaluate(s, n_terms: int, path: str = "direct") -> SeriesReport:
     from .oracles import gamma_ref
 
     terms = expansion_terms(s, n_terms, path)
-    report = SeriesReport(
-        s=complex(s),
-        terms=n_terms,
-        path=path,
-        partial_sum=sum(terms),
-        term_magnitudes=[abs(t) for t in terms],
-    )
-    return report.with_reference(gamma_ref(complex(s) + 1))
+    return fs.series_report(s, path, terms, gamma_ref(complex(s) + 1))

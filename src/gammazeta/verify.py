@@ -2,9 +2,8 @@
 
 Each check is a function of (depth, rng) returning None on success or a
 short witness string describing the first failure. Suites group checks
-by subject; ``run_suite`` executes them (optionally in parallel, see
-the THREADS environment variable) and reports one line per check in a
-deterministic order.
+by subject; ``run_suite`` executes them and reports one line per check
+in a deterministic order.
 
 Exact claims are checked in exact arithmetic; tolerances appear only
 where complex floating point is intrinsic.
@@ -12,9 +11,7 @@ where complex floating point is intrinsic.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -586,35 +583,20 @@ def suite_names() -> list[str]:
     return list(SUITES)
 
 
-def run_suite(
-    suite: str, depth: int, seed: int = DEFAULT_SEED, threads: int | None = None
-) -> list[CheckResult]:
-    """Run one suite (or "all"); results come back in registry order.
-
-    ``threads`` defaults to the THREADS environment variable (1 = serial).
-    """
+def run_suite(suite: str, depth: int, seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """Run one suite (or "all"); results come back in registry order."""
     if suite == "all":
         selected = [(s, name, fn) for s in SUITES for name, fn in SUITES[s]]
     elif suite in SUITES:
         selected = [(suite, name, fn) for name, fn in SUITES[suite]]
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    if threads is None:
-        try:
-            threads = int(os.environ.get("THREADS", "1"))
-        except ValueError:
-            threads = 1
-
-    def run_one(item) -> CheckResult:
-        suite_name, name, fn = item
+    results = []
+    for suite_name, name, fn in selected:
         rng = random.Random(f"{seed}:{suite_name}:{name}")
         try:
             witness = fn(depth, rng)
         except Exception as exc:  # a raised defect is a failing check
             witness = f"{type(exc).__name__}: {exc}"
-        return CheckResult(suite_name, name, witness is None, witness)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_one, selected))
-    return [run_one(item) for item in selected]
+        results.append(CheckResult(suite_name, name, witness is None, witness))
+    return results

@@ -39,34 +39,18 @@ casing.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import factorial
-from numbers import Rational
 
+from . import factorial_series as fs
 from .bell import TruncatedSeries
 from .combinatorics import binomial
 from .mittag_leffler import coeff as ml_coeff
 from .report import DefectError, DomainError, SeriesReport
 
-# even rows only: _even_rows[m][k] = b[2m, k] for k = 0..m (zero beyond)
-_even_rows: list[list[int]] = [[1]]
-_rows_lock = threading.Lock()
-
-
-def _ensure_even_rows(max_m: int) -> None:
-    if max_m < len(_even_rows):
-        return
-    with _rows_lock:
-        while len(_even_rows) <= max_m:
-            m = len(_even_rows)
-            alpha = 2 * m
-            prev = _even_rows[m - 1]
-            row = [0] * (m + 1)
-            for k in range(1, m + 1):
-                upper = prev[k] if k < len(prev) else 0
-                row[k] = (alpha + k - 2) * (alpha + k - 1) * (upper + prev[k - 1])
-            _even_rows.append(row)
+#: the zeta side of the factorial-series engine (row stride 2); even
+#: rows only: row m of its triangle holds b[2m, k] for k = 0..m
+SIDE = fs.kernel_side(2)
 
 
 def coeff(alpha: int, beta: int) -> int:
@@ -74,14 +58,9 @@ def coeff(alpha: int, beta: int) -> int:
 
     Odd rows are identically zero, as is beta > alpha/2 on even rows.
     """
-    if alpha < 0 or beta < 0:
-        return 0
     if alpha % 2 == 1:
         return 0
-    m = alpha // 2
-    _ensure_even_rows(m)
-    row = _even_rows[m]
-    return row[beta] if beta < len(row) else 0
+    return SIDE.triangle.entry(alpha // 2, beta)  # zero for negative indices
 
 
 def coeff_direct(alpha: int, beta: int) -> int:
@@ -129,147 +108,26 @@ def log_ratio_bell_value(alpha: int, beta: int) -> Fraction:
     return Fraction(factorial(alpha) * coeff(alpha, beta), factorial(alpha + beta))
 
 
-def _as_fraction(s) -> Fraction | None:
-    if isinstance(s, Rational):
-        return Fraction(s)
-    if isinstance(s, float):
-        return Fraction(s)
-    if isinstance(s, complex):
-        if s.imag == 0.0:
-            return Fraction(s.real)
-        return None
-    raise TypeError(f"unsupported argument type {type(s)!r}")
-
-
-def _prefactor(s: complex) -> complex:
-    return 2 ** (s - 1) / s
-
-
-def _terms_exact_direct(p: int, q: int, n_terms: int, pref: float) -> list[complex]:
-    _ensure_even_rows(n_terms - 1)
-    terms = [pref * q / (p + q)]
-    falling = [1] * (n_terms + 1)
-    for k in range(1, n_terms + 1):
-        falling[k] = falling[k - 1] * (p - (k - 1) * q)
-    for m in range(1, n_terms):
-        row = _even_rows[m]
-        num = 0
-        rising = 1  # (3m)!/(2m+k)! accumulated while k descends from m
-        qpow = 1
-        for k in range(m, 0, -1):
-            num += falling[k] * row[k] * qpow * rising
-            rising *= 2 * m + k
-            qpow *= q
-        den = q**m * factorial(3 * m) * (p + (2 * m + 1) * q)
-        terms.append(pref * ((num * q) / den))
-    return terms
-
-
-def _terms_exact_recurrence(p: int, q: int, n_terms: int, pref: float) -> list[complex]:
-    # integer form of the z-recurrence over even rows:
-    # N[m,k] = q**k (m+k)! z[m,k] satisfies, for even m,
-    # N[m,k] = (m+k-1)(m+k-2) (N[m-2,k] + (p-(k-1)q) N[m-2,k-1]), N[0,0] = 1
-    terms = [pref * q / (p + q)]
-    prev = [1]
-    for m in range(1, n_terms):
-        alpha = 2 * m
-        row = [0] * (m + 1)
-        for k in range(1, m + 1):
-            upper = prev[k] if k < len(prev) else 0
-            row[k] = (alpha + k - 1) * (alpha + k - 2) * (
-                upper + (p - (k - 1) * q) * prev[k - 1]
-            )
-        num = 0
-        rising = 1
-        qpow = 1
-        for k in range(m, 0, -1):
-            num += row[k] * qpow * rising
-            rising *= alpha + k
-            qpow *= q
-        den = q**m * factorial(3 * m) * (p + (alpha + 1) * q)
-        terms.append(pref * ((num * q) / den))
-        prev = row
-    return terms
-
-
-def _float_weights(m: int) -> list[float]:
-    # b[2m,k] * k!/(2m+k)! as floats; k! is folded into the exact factor
-    # so neither float factor leaves the representable range
-    row = _even_rows[m]
-    out = [0.0] * (m + 1)
-    ratio = factorial(2 * m)  # (2m+k)!/k!, advanced by *(2m+k)/k
-    for k in range(1, m + 1):
-        ratio = ratio * (2 * m + k) // k
-        out[k] = row[k] / ratio
-    return out
-
-
-def _terms_float_direct(s: complex, n_terms: int, pref: complex) -> list[complex]:
-    _ensure_even_rows(n_terms - 1)
-    terms = [pref / (s + 1)]
-    binom = [1.0 + 0j] * (n_terms + 1)
-    for k in range(1, n_terms + 1):
-        binom[k] = binom[k - 1] * (s - k + 1) / k
-    for m in range(1, n_terms):
-        w = _float_weights(m)
-        inner = 0j
-        for k in range(m, 0, -1):
-            inner += binom[k] * w[k]
-        den = s + 2 * m + 1
-        terms.append(pref * inner / den)
-    return terms
-
-
-def _terms_float_recurrence(s: complex, n_terms: int, pref: complex) -> list[complex]:
-    terms = [pref / (s + 1)]
-    prev = [1.0 + 0j]
-    for m in range(1, n_terms):
-        alpha = 2 * m
-        row = [0j] * (m + 1)
-        for k in range(1, m + 1):
-            upper = prev[k] if k < len(prev) else 0j
-            row[k] = (alpha + k - 2) / (alpha + k) * upper + (s - k + 1) / (
-                alpha + k
-            ) * prev[k - 1]
-        terms.append(pref * sum(row[k] for k in range(m, 0, -1)) / (s + alpha + 1))
-        prev = row
-    return terms
-
-
 def expansion_terms(s, n_terms: int, path: str = "direct") -> list[complex]:
     """First ``n_terms`` terms (m = 0..n_terms-1) of the expansion of
     eta(s)Gamma(s); term 0 is 2**(s-1)/s * 1/(s+1).
 
     Requires Re(s) > 0 (the validity region of the underlying integral).
     """
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    if path not in ("direct", "recurrence"):
-        raise ValueError(f"unknown path {path!r}")
+    fs.check_request(n_terms, path)
     sc = complex(s)
     if sc.real <= 0:
         raise DomainError("expansion requires Re(s) > 0")
-    frac = _as_fraction(s)
+    frac = fs.as_fraction(s)
     if frac is not None:
         pref = 2 ** (float(frac) - 1) / float(frac)
-        p, q = frac.numerator, frac.denominator
-        if path == "direct":
-            return [complex(t) for t in _terms_exact_direct(p, q, n_terms, pref)]
-        return [complex(t) for t in _terms_exact_recurrence(p, q, n_terms, pref)]
-    pref = _prefactor(sc)
-    if path == "direct":
-        return _terms_float_direct(sc, n_terms, pref)
-    return _terms_float_recurrence(sc, n_terms, pref)
+        return fs.exact_terms(SIDE, frac, n_terms, path, pref)
+    return fs.float_terms(SIDE, sc, n_terms, path, 2 ** (sc - 1) / sc)
 
 
 def partial_sums(s, n_terms: int, path: str = "direct") -> list[complex]:
     """Running partial sums of :func:`expansion_terms`."""
-    out = []
-    acc = 0j
-    for t in expansion_terms(s, n_terms, path):
-        acc += t
-        out.append(acc)
-    return out
+    return fs.running_sums(expansion_terms(s, n_terms, path))
 
 
 def log_ratio_coeffs(r, order: int) -> TruncatedSeries:
@@ -278,36 +136,7 @@ def log_ratio_coeffs(r, order: int) -> TruncatedSeries:
     Entry n of the result multiplies (1-2x)**(2n); entry 0 is 1. Exact
     Fractions for rational r, complex otherwise.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    _ensure_even_rows(order)
-    frac = _as_fraction(r)
-    if frac is not None:
-        p, q = frac.numerator, frac.denominator
-        coeffs: list = [Fraction(1)]
-        falling = [1] * (order + 1)
-        for k in range(1, order + 1):
-            falling[k] = falling[k - 1] * (p - (k - 1) * q)
-        for m in range(1, order + 1):
-            row = _even_rows[m]
-            num = 0
-            rising = 1
-            qpow = 1
-            for k in range(m, 0, -1):
-                num += falling[k] * row[k] * qpow * rising
-                rising *= 2 * m + k
-                qpow *= q
-            coeffs.append(Fraction(num, q**m * factorial(3 * m)))
-        return TruncatedSeries(coeffs)
-    rc = complex(r)
-    binom = [1.0 + 0j] * (order + 1)
-    for k in range(1, order + 1):
-        binom[k] = binom[k - 1] * (rc - k + 1) / k
-    coeffs = [1 + 0j]
-    for m in range(1, order + 1):
-        w = _float_weights(m)
-        coeffs.append(sum(binom[k] * w[k] for k in range(m, 0, -1)))
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries(fs.coefficients(SIDE, r, order))
 
 
 def reference_value(s) -> complex:
@@ -320,11 +149,4 @@ def reference_value(s) -> complex:
 def evaluate(s, n_terms: int, path: str = "direct") -> SeriesReport:
     """Evaluate the truncated expansion and compare against eta(s)Gamma(s)."""
     terms = expansion_terms(s, n_terms, path)
-    report = SeriesReport(
-        s=complex(s),
-        terms=n_terms,
-        path=path,
-        partial_sum=sum(terms),
-        term_magnitudes=[abs(t) for t in terms],
-    )
-    return report.with_reference(reference_value(s))
+    return fs.series_report(s, path, terms, reference_value(s))

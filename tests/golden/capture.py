@@ -1,0 +1,156 @@
+"""Golden outputs of the two factorial-series evaluators and the CLI.
+
+Run from the root of a checkout to (re)write the JSON files next to
+this script:
+
+    PYTHONPATH=src python tests/golden/capture.py
+
+``tests/test_golden.py`` recomputes the same records with the
+functions in ``COLLECTORS`` and requires them to match the stored files exactly.
+Only public names are used, so the script runs unchanged on any commit
+that has the current API.
+
+- ``terms.json``: for each (side, path, s, N), the SHA-256 of the
+  ``float.hex`` of the real and imaginary part of every term, one
+  ``re,im`` line per term. A mismatch names the case; re-run this
+  script on both commits and diff the full listing (:func:`term_lines`)
+  to find the term.
+- ``coeffs.json``: ``integrand_coeffs`` and ``log_ratio_coeffs`` to
+  order 30, exact Fractions as strings, complex floats as ``float.hex``.
+- ``cli.json``: the stdout of a set of CLI commands, byte for byte.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from gammazeta import cli, gamma_expansion, zeta_expansion
+
+HERE = Path(__file__).resolve().parent
+
+SIDES = {"gamma": gamma_expansion, "zeta": zeta_expansion}
+PATHS = ("direct", "recurrence")
+DEPTHS = (1, 2, 50, 200)
+COEFF_ORDER = 30
+
+# real s: exact rationals and two binary floats (large denominators);
+# complex s: the float backend
+REAL_S = {
+    "1/2": Fraction(1, 2),
+    "3/4": Fraction(3, 4),
+    "3/2": Fraction(3, 2),
+    "2": Fraction(2),
+    "7/3": Fraction(7, 3),
+    "0.3": 0.3,
+    "1e-3": 1e-3,
+}
+COMPLEX_S = {
+    "1+1j": 1 + 1j,
+    "2.3+0.7j": 2.3 + 0.7j,
+    "0.5+2j": 0.5 + 2j,
+    "1.5-0.25j": 1.5 - 0.25j,
+}
+ALL_S = {**REAL_S, **COMPLEX_S}
+
+CLI_ARGVS = [
+    ["eval", "gamma", "--s", "1.5", "--terms", "60"],
+    ["eval", "gamma", "--s", "0.3,1.2", "--terms", "40", "--path", "recurrence"],
+    ["eval", "zeta", "--s", "0.75", "--terms", "50", "--path", "recurrence"],
+    ["eval", "zeta", "--s", "0.75,0.5", "--terms", "30"],
+    ["converge", "gamma", "--s", "0.75", "--max-terms", "200", "--stride", "50",
+     "--format", "csv"],
+    ["converge", "zeta", "--s", "1.25", "--max-terms", "120", "--stride", "40",
+     "--format", "csv", "--path", "recurrence"],
+    ["converge", "gamma", "--s", "1,1", "--max-terms", "60", "--stride", "20",
+     "--format", "json"],
+    ["converge", "zeta", "--s", "1.5", "--max-terms", "90", "--stride", "30",
+     "--format", "json"],
+    ["tables", "c", "--max", "16", "--format", "json"],
+    ["tables", "b", "--max", "16", "--format", "json"],
+]
+
+
+def _hex(z: complex) -> str:
+    return f"{float.hex(z.real)},{float.hex(z.imag)}"
+
+
+def term_lines(side: str, path: str, s, n_terms: int) -> str:
+    """One ``re,im`` line of ``float.hex`` per term."""
+    terms = SIDES[side].expansion_terms(s, n_terms, path)
+    return "\n".join(_hex(complex(t)) for t in terms)
+
+
+def collect_terms() -> dict:
+    out = {}
+    for side in SIDES:
+        for path in PATHS:
+            for label, s in ALL_S.items():
+                for n in DEPTHS:
+                    digest = hashlib.sha256(term_lines(side, path, s, n).encode())
+                    out[f"{side}|{path}|{label}|{n}"] = digest.hexdigest()
+    return out
+
+
+def _coeff_text(c) -> str:
+    if isinstance(c, Fraction):
+        return str(c)
+    return _hex(complex(c))
+
+
+def collect_coeffs() -> dict:
+    helpers = {
+        "integrand_coeffs": gamma_expansion.integrand_coeffs,
+        "log_ratio_coeffs": zeta_expansion.log_ratio_coeffs,
+    }
+    # the binary floats are left out: their exact coefficients run to
+    # hundreds of digits each and take the same integer loop as p/q
+    args = {k: v for k, v in ALL_S.items() if not isinstance(v, float)}
+    args.update({"3": 3, "-1/2": Fraction(-1, 2)})  # verify's argument; a negative one
+    out = {}
+    for name, fn in helpers.items():
+        for label, s in args.items():
+            series = fn(s, COEFF_ORDER)
+            out[f"{name}|{label}"] = [_coeff_text(c) for c in series.coeffs]
+    return out
+
+
+def cli_stdout(argv: list[str]) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(list(argv))
+    if code != cli.EXIT_OK:
+        raise RuntimeError(f"{argv} exited {code}")
+    return buf.getvalue()
+
+
+def collect_cli() -> dict:
+    return {" ".join(argv): cli_stdout(argv) for argv in CLI_ARGVS}
+
+
+COLLECTORS = {
+    "terms.json": collect_terms,
+    "coeffs.json": collect_coeffs,
+    "cli.json": collect_cli,
+}
+
+
+def load(name: str) -> dict:
+    return json.loads((HERE / name).read_text())
+
+
+def main() -> int:
+    for name, collect in COLLECTORS.items():
+        text = json.dumps(collect(), indent=1, sort_keys=True) + "\n"
+        (HERE / name).write_text(text)
+        print(f"wrote {HERE / name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,6 +14,7 @@ from gammazeta import (
     partial_bell,
     series_pow,
 )
+from gammazeta import factorial_series as fs
 from gammazeta import gamma_expansion as ge
 
 # the printed triangle of c[a,b] through row 5
@@ -142,7 +143,7 @@ class TestExpansion:
 
     def test_float_path_matches_exact_at_moderate_depth(self):
         exact = sum(ge.expansion_terms(0.5, 60, "direct"))
-        floats = sum(ge._terms_float_direct(complex(0.5), 60))
+        floats = sum(fs.float_terms(ge.SIDE, complex(0.5), 60, "direct"))
         assert abs(exact - floats) < 1e-13
 
     def test_term_magnitudes_recorded(self):

@@ -1,0 +1,26 @@
+"""Golden outputs captured before the evaluators shared one engine.
+
+Every term's bits on both backends and paths, the exact and float
+coefficient helpers, and the stdout bytes of a set of CLI commands must
+match what ``tests/golden/capture.py`` recorded.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_capture", Path(__file__).parent / "golden" / "capture.py"
+)
+capture = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(capture)
+
+
+@pytest.mark.parametrize("name", sorted(capture.COLLECTORS))
+def test_matches_golden(name):
+    stored = capture.load(name)
+    fresh = capture.COLLECTORS[name]()
+    assert sorted(fresh) == sorted(stored)
+    mismatched = [key for key in stored if fresh[key] != stored[key]]
+    assert not mismatched, f"{name}: {mismatched}"
