@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -94,25 +95,17 @@ def _complex_payload(z: complex) -> dict:
 
 # ------------------------------------------------------------------- tables
 
-TABLE_FAMILIES = ("stirling1", "stirling2", "eulerian", "c", "a", "b")
-
-
-def _table_rows(family: str, max_row: int) -> list[list[int]]:
-    if family == "stirling1":
-        return [[comb.stirling1(n, k) for k in range(n + 1)] for n in range(max_row + 1)]
-    if family == "stirling2":
-        return [[comb.stirling2(n, k) for k in range(n + 1)] for n in range(max_row + 1)]
-    if family == "eulerian":
-        return [
-            [comb.eulerian(n, k) for k in range(max(n, 1))] for n in range(max_row + 1)
-        ]
-    if family == "c":
-        return gamma_expansion.coeff_table(max_row)
-    if family == "a":
-        return mittag_leffler.coeff_table(max_row)
-    if family == "b":
-        return zeta_expansion.coeff_table(max_row)
-    raise UsageError(f"unknown family {family!r}")
+# coeff_table is looked up per call, so a wrapper (perfbench's tracer) runs
+TABLE_ROWS = {
+    "stirling1": comb.STIRLING1.rows,
+    "stirling2": comb.STIRLING2.rows,
+    # row n >= 1 lists A(n,0..n-1); the stored A(n,n) = 0 is left out
+    "eulerian": lambda m: [r[: max(n, 1)] for n, r in enumerate(comb.EULERIAN.rows(m))],
+    "c": lambda m: gamma_expansion.coeff_table(m),
+    "a": lambda m: mittag_leffler.coeff_table(m),
+    "b": lambda m: zeta_expansion.coeff_table(m),
+}
+TABLE_FAMILIES = tuple(TABLE_ROWS)
 
 
 def cmd_tables(args, out) -> int:
@@ -120,7 +113,7 @@ def cmd_tables(args, out) -> int:
         raise UsageError("--max must be nonnegative")
     if args.max_row > args.cap:
         raise UsageError(f"--max {args.max_row} exceeds the cap {args.cap}")
-    rows = _table_rows(args.family, args.max_row)
+    rows = TABLE_ROWS[args.family](args.max_row)
     if args.format == "csv":
         out.write("row,col,value\n")
         for n, row in enumerate(rows):
@@ -145,15 +138,14 @@ def cmd_tables(args, out) -> int:
 
 # --------------------------------------------------------------------- eval
 
-def _evaluator(target: str):
-    return gamma_expansion if target == "gamma" else zeta_expansion
+EVALUATORS = {"gamma": gamma_expansion, "zeta": zeta_expansion}
 
 
 def cmd_eval(args, out) -> int:
     if args.terms < 1:
         raise UsageError("--terms must be >= 1")
     s = parse_complex_flag(args.s)
-    report = _evaluator(args.target).evaluate(s, args.terms, args.path)
+    report = EVALUATORS[args.target].evaluate(s, args.terms, args.path)
     payload = {
         "s": _complex_payload(report.s),
         "terms": report.terms,
@@ -181,12 +173,9 @@ def cmd_converge(args, out) -> int:
     if not 1 <= args.stride <= args.max_terms:
         raise UsageError("requires max-terms >= stride >= 1")
     s = parse_complex_flag(args.s)
-    module = _evaluator(args.target)
+    module = EVALUATORS[args.target]
     sums = module.partial_sums(s, args.max_terms, args.path)
-    if args.target == "gamma":
-        reference = oracles.gamma_ref(complex(s) + 1)
-    else:
-        reference = zeta_expansion.reference_value(s)
+    reference = module.reference_value(s)
     samples = []
     for terms in range(args.stride, args.max_terms + 1, args.stride):
         value = sums[terms - 1]
@@ -228,6 +217,8 @@ def cmd_converge(args, out) -> int:
 # ------------------------------------------------------------------- verify
 
 def cmd_verify(args, out) -> int:
+    if args.depth < 0:
+        raise UsageError("--depth must be nonnegative")
     results = verify_mod.run_suite(args.suite, args.depth, seed=args.seed)
     if args.format == "json":
         payload = {
@@ -266,6 +257,8 @@ def cmd_integral_check(args, out) -> int:
     s = parse_complex_flag(args.s)
     if not 0 <= args.n <= 12:
         raise UsageError("--n must lie in 0..12")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError("--tol must be a finite number > 0")
     report = oracles.integral_identity_check(
         complex(s), args.n, tol=args.tol, budget=args.budget
     )

@@ -55,46 +55,25 @@ class CachedTriangle:
         return [list(r) for r in self._rows[: max_row + 1]]
 
 
-def _stirling1_row(rows: list[list[int]], n: int) -> list[int]:
-    # s(n,k) = (n-1) s(n-1,k) + s(n-1,k-1); s(0,0)=1, s(n,0)=0 for n>0
-    if n == 0:
-        return [1]
-    prev = rows[n - 1]
-    row = [0] * (n + 1)
-    for k in range(1, n + 1):
-        upper = prev[k] if k < len(prev) else 0
-        row[k] = (n - 1) * upper + prev[k - 1]
-    return row
+def _two_term_row(upper: Callable[[int, int], int], lower: Callable[[int, int], int]):
+    """``build_row`` for T(n,k) = upper(n,k) T(n-1,k) + lower(n,k) T(n-1,k-1),
+    T(0,0) = 1; row n holds k = 0..n, and T(n-1,k) is 0 outside its row."""
+
+    def build_row(rows: list[list[int]], n: int) -> list[int]:
+        if n == 0:
+            return [1]
+        prev = [0] + rows[n - 1] + [0]  # prev[k+1] = T(n-1,k)
+        return [upper(n, k) * prev[k + 1] + lower(n, k) * prev[k] for k in range(n + 1)]
+
+    return build_row
 
 
-def _stirling2_row(rows: list[list[int]], n: int) -> list[int]:
-    # S(n,k) = k S(n-1,k) + S(n-1,k-1)
-    if n == 0:
-        return [1]
-    prev = rows[n - 1]
-    row = [0] * (n + 1)
-    for k in range(1, n + 1):
-        upper = prev[k] if k < len(prev) else 0
-        row[k] = k * upper + prev[k - 1]
-    return row
-
-
-def _eulerian_row(rows: list[list[int]], n: int) -> list[int]:
-    # A(n,k) = (k+1) A(n-1,k) + (n-k) A(n-1,k-1); A(n,n)=0 for n>=1
-    if n == 0:
-        return [1]
-    prev = rows[n - 1]
-    row = [0] * (n + 1)
-    for k in range(n):
-        upper = prev[k] if k < len(prev) else 0
-        lower = prev[k - 1] if k >= 1 else 0
-        row[k] = (k + 1) * upper + (n - k) * lower
-    return row
-
-
-STIRLING1 = CachedTriangle(_stirling1_row)
-STIRLING2 = CachedTriangle(_stirling2_row)
-EULERIAN = CachedTriangle(_eulerian_row)
+# s(n,k) = (n-1) s(n-1,k) + s(n-1,k-1); s(n,0) = 0 for n > 0
+STIRLING1 = CachedTriangle(_two_term_row(lambda n, k: n - 1, lambda n, k: 1))
+# S(n,k) = k S(n-1,k) + S(n-1,k-1)
+STIRLING2 = CachedTriangle(_two_term_row(lambda n, k: k, lambda n, k: 1))
+# A(n,k) = (k+1) A(n-1,k) + (n-k) A(n-1,k-1); A(n,n) = 0 for n >= 1
+EULERIAN = CachedTriangle(_two_term_row(lambda n, k: k + 1, lambda n, k: n - k))
 
 
 def stirling1(n: int, k: int) -> int:

@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from . import factorial_series as fs
+from . import factorial_series as fs, oracles
 from .bell import TruncatedSeries
 from .combinatorics import binomial, stirling1
 from .report import DomainError, PoleProximityError, SeriesReport
@@ -127,9 +127,12 @@ def integrand_coeffs(s, order: int) -> TruncatedSeries:
     return TruncatedSeries(fs.coefficients(SIDE, s, order))
 
 
+def reference_value(s) -> complex:
+    """Gamma(s+1), the value the expansion converges to."""
+    return oracles.gamma_ref(complex(s) + 1)
+
+
 def evaluate(s, n_terms: int, path: str = "direct") -> SeriesReport:
     """Evaluate the truncated expansion and compare against the Gamma oracle."""
-    from .oracles import gamma_ref
-
     terms = expansion_terms(s, n_terms, path)
-    return fs.series_report(s, path, terms, gamma_ref(complex(s) + 1))
+    return fs.series_report(s, path, terms, reference_value(s))

@@ -50,14 +50,20 @@ def gamma_ref(s) -> complex:
     if s.imag == 0.0 and s.real <= 0 and s.real == int(s.real):
         raise PoleProximityError(f"Gamma pole at s = {int(s.real)}")
     if s.real < 0.5:
-        # Gamma(s) Gamma(1-s) = pi / sin(pi s)
-        return math.pi / (cmath.sin(math.pi * s) * gamma_ref(1 - s))
+        # Gamma(s) Gamma(1-s) = pi / sin(pi s) = pi / ((-1)**n sin(pi (s-n))) for the
+        # nearest integer n; s-n is exact, so the poles keep their relative accuracy
+        n = round(s.real)
+        return math.pi / ((-1) ** n * cmath.sin(math.pi * (s - n)) * gamma_ref(1 - s))
     z = s - 1
     acc = complex(_LANCZOS_COEFFS[0])
     for i in range(1, len(_LANCZOS_COEFFS)):
         acc += _LANCZOS_COEFFS[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
+    try:
+        power = t ** (z + 0.5)
+    except ZeroDivisionError as exc:  # its phase overflowed: Im(s) beyond float range
+        raise DomainError(f"Gamma oracle out of float range at s = {s!r}") from exc
+    return math.sqrt(2 * math.pi) * power * cmath.exp(-t) * acc
 
 
 def _borwein_weights(n: int) -> tuple[list[int], int]:
@@ -108,6 +114,41 @@ class QuadratureResult:
 DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_QUAD_BUDGET = 2_000_000
 _T_MAX = 6.2  # node weights underflow beyond this in either map
+_MAX_LEVEL = 12  # halvings of the step h before a rule gives up
+_HALF_PI = math.pi / 2
+
+
+def _de_quadrature(f, nodes, tol: float, budget: int) -> QuadratureResult:
+    """The double-exponential trapezoid rule (Takahasi & Mori, Publ. RIMS
+    9, 1974) over the nodes of one variable map: ``nodes(ts)`` yields
+    ``(x, w)`` for the step parameters ``ts``; each level halves h."""
+    evals = 0
+
+    def level_sum(ts: list[float]) -> complex:
+        nonlocal evals
+        acc = 0j
+        for x, w in nodes(ts):
+            v = complex(f(x))
+            evals += 1
+            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+                raise DomainError(f"integrand not finite at x = {x!r}")
+            acc += w * v
+        return acc
+
+    h = 1.0
+    total = level_sum([k * h for k in range(0, int(_T_MAX / h) + 1)]) * h
+    err = math.inf
+    for _ in range(_MAX_LEVEL):
+        h /= 2
+        new = level_sum([k * h for k in range(1, int(_T_MAX / h) + 1, 2)])
+        refined = total / 2 + new * h
+        err = abs(refined - total)
+        total = refined
+        if err <= tol * max(1.0, abs(total)):
+            return QuadratureResult(total, err, evals, True)
+        if evals > budget:
+            break
+    return QuadratureResult(total, err, evals, False)
 
 
 def quad_tanh_sinh(
@@ -116,7 +157,6 @@ def quad_tanh_sinh(
     b: float,
     tol: float = DEFAULT_QUAD_TOL,
     budget: int = DEFAULT_QUAD_BUDGET,
-    max_level: int = 12,
 ) -> QuadratureResult:
     """Integrate f over the finite interval (a, b), tanh-sinh map.
 
@@ -133,52 +173,22 @@ def quad_tanh_sinh(
     if not a < b:
         raise ValueError("requires a < b")
     half = 0.5 * (b - a)
-    evals = 0
 
-    def node_sum(ts: list[float]) -> complex:
-        nonlocal evals
-        acc = 0j
-        piov2 = math.pi / 2
+    def nodes(ts: list[float]):
         for t in ts:
-            u = piov2 * math.sinh(t)
+            u = _HALF_PI * math.sinh(t)
             if u > 350.0:
                 continue  # weight underflows
             e = math.exp(-2.0 * u)
             delta = half * 2.0 * e / (1.0 + e)
-            w = half * piov2 * math.cosh(t) * 4.0 * e / (1.0 + e) ** 2
+            w = half * _HALF_PI * math.cosh(t) * 4.0 * e / (1.0 + e) ** 2
             if w == 0.0 or delta == 0.0:
                 continue
-            if t == 0.0:
-                points = [a + half]
-                weight = w
-            else:
-                points = [a + delta, b - delta]
-                weight = w
-            for x in points:
-                if not (a < x < b):
-                    continue
-                v = complex(f(x))
-                evals += 1
-                if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                    raise DomainError(f"integrand not finite at x = {x!r}")
-                acc += weight * v
-        return acc
+            for x in ((a + half,) if t == 0.0 else (a + delta, b - delta)):
+                if a < x < b:
+                    yield x, w
 
-    h = 1.0
-    ts = [0.0] + [k * h for k in range(1, int(_T_MAX / h) + 1)]
-    total = node_sum(ts) * h
-    err = math.inf
-    for _ in range(max_level):
-        h /= 2
-        new = node_sum([k * h for k in range(1, int(_T_MAX / h) + 1, 2)])
-        refined = total / 2 + new * h
-        err = abs(refined - total)
-        total = refined
-        if err <= tol * max(1.0, abs(total)):
-            return QuadratureResult(total, err, evals, True)
-        if evals > budget:
-            break
-    return QuadratureResult(total, err, evals, False)
+    return _de_quadrature(f, nodes, tol, budget)
 
 
 def quad_exp_sinh(
@@ -186,48 +196,23 @@ def quad_exp_sinh(
     a: float = 0.0,
     tol: float = DEFAULT_QUAD_TOL,
     budget: int = DEFAULT_QUAD_BUDGET,
-    max_level: int = 12,
 ) -> QuadratureResult:
     """Integrate f over (a, inf); f must decay at least exponentially."""
-    evals = 0
 
-    def node_sum(ts: list[float]) -> complex:
-        nonlocal evals
-        acc = 0j
-        piov2 = math.pi / 2
+    def nodes(ts: list[float]):
         for t in ts:
             for sgn in ((1.0,) if t == 0.0 else (1.0, -1.0)):
-                u = piov2 * math.sinh(sgn * t)
+                u = _HALF_PI * math.sinh(sgn * t)
                 if u > 690.0:
                     continue  # abscissa overflows; decaying f contributes nothing
                 ex = math.exp(u)
                 if ex == 0.0:
                     continue  # abscissa collapsed onto the endpoint
-                x = a + ex
-                w = piov2 * math.cosh(t) * ex
-                if w == 0.0:
-                    continue
-                v = complex(f(x))
-                evals += 1
-                if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                    raise DomainError(f"integrand not finite at x = {x!r}")
-                acc += w * v
-        return acc
+                w = _HALF_PI * math.cosh(t) * ex
+                if w != 0.0:
+                    yield a + ex, w
 
-    h = 1.0
-    total = node_sum([k * h for k in range(0, int(_T_MAX / h) + 1)]) * h
-    err = math.inf
-    for _ in range(max_level):
-        h /= 2
-        new = node_sum([k * h for k in range(1, int(_T_MAX / h) + 1, 2)])
-        refined = total / 2 + new * h
-        err = abs(refined - total)
-        total = refined
-        if err <= tol * max(1.0, abs(total)):
-            return QuadratureResult(total, err, evals, True)
-        if evals > budget:
-            break
-    return QuadratureResult(total, err, evals, False)
+    return _de_quadrature(f, nodes, tol, budget)
 
 
 def quad_adaptive(f, a: float, b: float, tol: float = DEFAULT_QUAD_TOL,
@@ -266,11 +251,28 @@ def eta_integral_ref(s, tol: float = 1e-11) -> QuadratureResult:
     s = complex(s)
     if s.real <= 0:
         raise DomainError("integral converges only for Re(s) > 0")
+    return quad_exp_sinh(_reduced_integrand(s - 1, (1,), 1), 0.0, tol=tol)
 
-    def integrand(t: float) -> complex:
-        return cmath.exp((s - 1) * cmath.log(t) - t) / (1.0 + math.exp(-t))
 
-    return quad_exp_sinh(integrand, 0.0, tol=tol)
+def _reduced_integrand(power: complex, coeffs, k: int):
+    """v -> exp(power log v - v) P(x) / (1 + e^{-v})**k at x = 1/(1+e^v),
+    for P with ``coeffs`` (constant term first). v**power e^{-v} is
+    folded into one exp so neither factor overflows."""
+    pc = [complex(c) for c in coeffs]
+
+    def integrand(v: float) -> complex:
+        e = math.exp(-v)
+        x = e / (1.0 + e)
+        acc = 0j
+        for c in reversed(pc):
+            acc = acc * x + c
+        try:
+            scale = cmath.exp(power * cmath.log(v) - v)
+        except ValueError as exc:  # an infinite phase: Im(power) beyond float range
+            raise DomainError(f"integrand not finite at x = {v!r}") from exc
+        return scale * acc / (1.0 + e) ** k
+
+    return integrand
 
 
 def integrated_by_parts_form(s, n: int, tol: float = 1e-11) -> QuadratureResult:
@@ -286,17 +288,8 @@ def integrated_by_parts_form(s, n: int, tol: float = 1e-11) -> QuadratureResult:
     if s.real <= 0:
         raise DomainError("requires Re(s) > 0")
     reduced = derivative_polynomial(n + 2).shift_down()  # Q_{n+2}(x)/x
-    rc = [complex(c) for c in reduced.coeffs]
-
-    def integrand(t: float) -> complex:
-        e = math.exp(-t)
-        x = e / (1.0 + e)
-        acc = 0j
-        for c in reversed(rc):
-            acc = acc * x + c
-        # e^t * Q(x) = e^t x * (Q(x)/x) = acc/(1+e^{-t})
-        return cmath.exp((s + n) * cmath.log(t) - t) * acc / (1.0 + e)
-
+    # e^t * Q(x) = e^t x * (Q(x)/x) = (Q(x)/x)/(1+e^{-t})
+    integrand = _reduced_integrand(s + n, reduced.coeffs, 1)
     res = quad_exp_sinh(integrand, 0.0, tol=tol)
     scale = (-1) ** (n + 1) / rising_factorial(s, n + 1)
     return QuadratureResult(res.value * scale, res.error_estimate * abs(scale),
@@ -335,17 +328,7 @@ def integral_identity_check(s, n: int, tol: float = DEFAULT_QUAD_TOL,
         raise DomainError("identity requires Re(s) > 0")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    pc = [complex(c) for c in reduced_polynomial(n).coeffs]
-
-    def integrand(v: float) -> complex:
-        e = math.exp(-v)
-        x = e / (1.0 + e)
-        acc = 0j
-        for c in reversed(pc):
-            acc = acc * x + c
-        # v**(s+n) e^{-v} folded into one exp so neither factor overflows
-        return cmath.exp((s + n) * cmath.log(v) - v) * acc / (1.0 + e) ** 2
-
+    integrand = _reduced_integrand(s + n, reduced_polynomial(n).coeffs, 2)
     quad = quad_exp_sinh(integrand, 0.0, tol=tol, budget=budget)
     if not quad.converged:
         raise BudgetExceededError(

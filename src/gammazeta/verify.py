@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial
 from typing import Callable
 
@@ -39,17 +40,49 @@ class CheckResult:
     witness: str | None
 
 
-def _gamma_bell_sequence(length: int) -> list[Fraction]:
-    # x_m = m!/(m+1): the sequence behind the Gamma-side triangle
-    return [Fraction(factorial(m), m + 1) for m in range(1, length + 1)]
+def _bell_sequence(length: int, stride: int) -> list[Fraction]:
+    # x_m = m!/(m+1) where stride divides m, else 0: the sequence behind
+    # the Gamma-side triangle (stride 1) or the zeta side's (stride 2)
+    return [Fraction(factorial(m), m + 1) if m % stride == 0 else Fraction(0)
+            for m in range(1, length + 1)]
 
 
-def _zeta_bell_sequence(length: int) -> list[Fraction]:
-    # 0, 2!/3, 0, 4!/5, ...: even entries only
-    out = []
-    for m in range(1, length + 1):
-        out.append(Fraction(factorial(m), m + 1) if m % 2 == 0 else Fraction(0))
-    return out
+# Per-side checks take the side's functions first; ``partial`` binds them.
+
+def _bell_identity(bell_value: Callable, stride: int, depth: int, rng) -> str | None:
+    # bell_value(a, b) is B_{a,b} of the side's Bell sequence
+    xs = _bell_sequence(min(depth, 10) + 1, stride)
+    for a in range(1, min(depth, 10) + 1):
+        for b in range(1, a + 1):
+            lhs = bell_value(a, b)
+            rhs = bell.partial_bell(a, b, xs)
+            if lhs != rhs:
+                return f"Bell identity fails at ({a},{b}): {lhs} != {rhs}"
+    return None
+
+
+def _path_equivalence(module, points, n_terms: int, depth: int, rng) -> str | None:
+    for s in points:
+        direct = module.partial_sums(s, n_terms, "direct")
+        rec = module.partial_sums(s, n_terms, "recurrence")
+        for n, (d, r) in enumerate(zip(direct, rec), start=1):
+            if abs(d - r) > 1e-12 * max(1.0, abs(d)):
+                return f"paths diverge at s={s}, {n} terms: {abs(d - r):.2e}"
+    return None
+
+
+def _integrand_power_identity(
+    coeffs: Callable, stride: int, power: int, order: int, witness: str, depth: int, rng
+) -> str | None:
+    # integer power: brace coefficients equal the exact power of the
+    # series 1 + sum_m t**m / (stride (m+1) + 1)
+    base = bell.TruncatedSeries(
+        [Fraction(1)] + [Fraction(1, stride * (m + 1) + 1) for m in range(order)]
+    )
+    expected = bell.series_pow(base, power)
+    if tuple(coeffs(power, order).coeffs) != expected.coeffs:
+        return witness
+    return None
 
 
 # ---------------------------------------------------------------- stirling
@@ -114,7 +147,7 @@ def check_rising_equals_shifted_falling(depth: int, rng) -> str | None:
 # -------------------------------------------------------------------- bell
 
 def check_partial_bell_boundaries(depth: int, rng) -> str | None:
-    xs = _gamma_bell_sequence(14)
+    xs = _bell_sequence(14, 1)
     for n in range(1, 13):
         if bell.partial_bell(n, 1, xs) != xs[n - 1]:
             return f"B({n},1) != x_{n}"
@@ -199,38 +232,14 @@ def check_c_first_column_factorial(depth: int, rng) -> str | None:
     return None
 
 
-def check_c_bell_identity(depth: int, rng) -> str | None:
-    xs = _gamma_bell_sequence(min(depth, 10) + 1)
-    for a in range(1, min(depth, 10) + 1):
-        for b in range(1, a + 1):
-            lhs = gamma_expansion.log_series_bell_value(a, b)
-            rhs = bell.partial_bell(a, b, xs)
-            if lhs != rhs:
-                return f"Bell identity fails at ({a},{b}): {lhs} != {rhs}"
-    return None
-
-
-def check_gamma_path_equivalence(depth: int, rng) -> str | None:
-    for s in (0.5, 1 + 1j, 2.3):
-        direct = gamma_expansion.partial_sums(s, 50, "direct")
-        rec = gamma_expansion.partial_sums(s, 50, "recurrence")
-        for n, (d, r) in enumerate(zip(direct, rec), start=1):
-            if abs(d - r) > 1e-12 * max(1.0, abs(d)):
-                return f"paths diverge at s={s}, {n} terms: {abs(d - r):.2e}"
-    return None
-
-
-def check_gamma_integrand_power_identity(depth: int, rng) -> str | None:
-    # integer power s=3: brace coefficients equal the exact cube of the series
-    order = 10
-    log_series = bell.TruncatedSeries(
-        [Fraction(1)] + [Fraction(1, m + 2) for m in range(order)]
-    )
-    cubed = bell.series_pow(log_series, 3)
-    mine = gamma_expansion.integrand_coeffs(3, order)
-    if tuple(mine.coeffs) != cubed.coeffs:
-        return "cube of the shifted-log series disagrees with brace coefficients"
-    return None
+check_c_bell_identity = partial(_bell_identity, gamma_expansion.log_series_bell_value, 1)
+check_gamma_path_equivalence = partial(
+    _path_equivalence, gamma_expansion, (0.5, 1 + 1j, 2.3), 50
+)
+check_gamma_integrand_power_identity = partial(
+    _integrand_power_identity, gamma_expansion.integrand_coeffs, 1, 3, 10,
+    "cube of the shifted-log series disagrees with brace coefficients",
+)
 
 
 def check_gamma_known_values(depth: int, rng) -> str | None:
@@ -314,37 +323,14 @@ def check_b_first_column(depth: int, rng) -> str | None:
     return None
 
 
-def check_b_bell_identity(depth: int, rng) -> str | None:
-    xs = _zeta_bell_sequence(min(depth, 10) + 1)
-    for a in range(1, min(depth, 10) + 1):
-        for b in range(1, a + 1):
-            lhs = zeta_expansion.log_ratio_bell_value(a, b)
-            rhs = bell.partial_bell(a, b, xs)
-            if lhs != rhs:
-                return f"Bell identity fails at ({a},{b}): {lhs} != {rhs}"
-    return None
-
-
-def check_zeta_path_equivalence(depth: int, rng) -> str | None:
-    for s in (0.5, 1.0, 2 + 1j):
-        direct = zeta_expansion.partial_sums(s, 40, "direct")
-        rec = zeta_expansion.partial_sums(s, 40, "recurrence")
-        for n, (d, r) in enumerate(zip(direct, rec), start=1):
-            if abs(d - r) > 1e-12 * max(1.0, abs(d)):
-                return f"paths diverge at s={s}, {n} terms: {abs(d - r):.2e}"
-    return None
-
-
-def check_zeta_integrand_power_identity(depth: int, rng) -> str | None:
-    order = 5
-    inner = bell.TruncatedSeries(
-        [Fraction(1)] + [Fraction(1, 2 * m + 3) for m in range(order)]
-    )
-    squared = bell.series_pow(inner, 2)
-    mine = zeta_expansion.log_ratio_coeffs(2, order)
-    if tuple(mine.coeffs) != squared.coeffs:
-        return "square of the even log series disagrees with brace coefficients"
-    return None
+check_b_bell_identity = partial(_bell_identity, zeta_expansion.log_ratio_bell_value, 2)
+check_zeta_path_equivalence = partial(
+    _path_equivalence, zeta_expansion, (0.5, 1.0, 2 + 1j), 40
+)
+check_zeta_integrand_power_identity = partial(
+    _integrand_power_identity, zeta_expansion.log_ratio_coeffs, 2, 2, 5,
+    "square of the even log series disagrees with brace coefficients",
+)
 
 
 def check_zeta_target_convergence(depth: int, rng) -> str | None:

@@ -42,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from . import factorial_series as fs
+from . import factorial_series as fs, oracles
 from .bell import TruncatedSeries
 from .combinatorics import binomial
 from .mittag_leffler import coeff as ml_coeff
@@ -93,11 +93,9 @@ def coeff_table(max_row: int) -> list[list[int]]:
     The extra trailing entry makes the vanishing of the column after the
     last nonzero one visible, matching how the triangle is tabulated.
     """
-    out = []
-    for alpha in range(max_row + 1):
-        width = alpha // 2 + 2
-        out.append([coeff(alpha, beta) for beta in range(width)])
-    return out
+    even = SIDE.triangle.rows(max_row // 2)  # even[m] = b[2m, 0..m]
+    return [even[a // 2] + [0] if a % 2 == 0 else [0] * (a // 2 + 2)
+            for a in range(max_row + 1)]
 
 
 def log_ratio_bell_value(alpha: int, beta: int) -> Fraction:
@@ -141,9 +139,7 @@ def log_ratio_coeffs(r, order: int) -> TruncatedSeries:
 
 def reference_value(s) -> complex:
     """eta(s)Gamma(s), the value the expansion converges to."""
-    from .oracles import eta_ref, gamma_ref
-
-    return eta_ref(complex(s)) * gamma_ref(complex(s))
+    return oracles.eta_ref(complex(s)) * oracles.gamma_ref(complex(s))
 
 
 def evaluate(s, n_terms: int, path: str = "direct") -> SeriesReport:

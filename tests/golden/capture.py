@@ -18,19 +18,28 @@ that has the current API.
 - ``coeffs.json``: ``integrand_coeffs`` and ``log_ratio_coeffs`` to
   order 30, exact Fractions as strings, complex floats as ``float.hex``.
 - ``cli.json``: the stdout of a set of CLI commands, byte for byte.
+- ``quadrature.json``: the double-exponential rules and the integrals
+  built on them. Each result is recorded as ``float.hex`` of ``value``
+  and ``error_estimate``, plus ``evaluations`` and ``converged``.
+- ``commands.json``: the stdout of ``verify`` and ``integral-check``
+  commands byte for byte, and the SHA-256 of the stdout of ``tables``
+  for every family to ``--max 64`` in csv and json.
 """
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from gammazeta import cli, gamma_expansion, zeta_expansion
+from gammazeta import cli, gamma_expansion, oracles, zeta_expansion
+from gammazeta.report import DomainError
 
 HERE = Path(__file__).resolve().parent
 
@@ -133,10 +142,101 @@ def collect_cli() -> dict:
     return {" ".join(argv): cli_stdout(argv) for argv in CLI_ARGVS}
 
 
+# (label, rule, integrand, interval arguments, keyword arguments); the
+# budget-limited cases stop before reaching ``tol``, the "every level"
+# ones run out of refinement levels, and "nan far out"
+# raises DomainError once x*x overflows
+QUAD_CASES = [
+    ("ts|t^2|default", "quad_tanh_sinh", lambda t: t**2, (0.0, 1.0), {}),
+    ("ts|-log u|1e-12", "quad_tanh_sinh", lambda u: -math.log(u), (0.0, 1.0),
+     {"tol": 1e-12}),
+    ("ts|1/sqrt x|1e-8", "quad_tanh_sinh", lambda x: 1 / math.sqrt(x), (0.0, 1.0),
+     {"tol": 1e-8}),
+    ("ts|exp(ix) on (-1,2)|1e-14", "quad_tanh_sinh", lambda x: cmath.exp(1j * x),
+     (-1.0, 2.0), {"tol": 1e-14}),
+    ("ts|sin 40x|budget 50", "quad_tanh_sinh", lambda x: math.sin(40 * x),
+     (0.0, 1.0), {"tol": 1e-14, "budget": 50}),
+    ("ts|sqrt|x-0.3||every level", "quad_tanh_sinh", lambda x: abs(x - 0.3) ** 0.5,
+     (0.0, 1.0), {"tol": 1e-300}),
+    ("es|exp(-x)|default", "quad_exp_sinh", lambda x: math.exp(-x), (), {}),
+    ("es|x exp(-x) from 1|1e-12", "quad_exp_sinh", lambda x: x * math.exp(-x),
+     (1.0,), {"tol": 1e-12}),
+    ("es|x^2 exp(-x)|nan far out", "quad_exp_sinh", lambda x: x * x * math.exp(-x),
+     (), {}),
+    ("es|exp((-1+i)x)|1e-8", "quad_exp_sinh", lambda x: cmath.exp((-1 + 1j) * x),
+     (), {"tol": 1e-8}),
+    ("es|exp(-x)/sqrt x|budget 30", "quad_exp_sinh",
+     lambda x: math.exp(-x) / math.sqrt(x), (), {"tol": 1e-15, "budget": 30}),
+    ("es|exp(-x)/sqrt x|every level", "quad_exp_sinh",
+     lambda x: math.exp(-x) / math.sqrt(x), (), {"tol": 1e-300}),
+]
+IDENTITY_S = {"0.75": 0.75, "1.5": 1.5, "0.6+1.2j": 0.6 + 1.2j}
+
+
+def quad_record(res) -> dict:
+    return {
+        "value": _hex(complex(res.value)),
+        "error_estimate": float.hex(float(res.error_estimate)),
+        "evaluations": res.evaluations,
+        "converged": res.converged,
+    }
+
+
+def collect_quadrature() -> dict:
+    out = {}
+    for label, rule, f, interval, kwargs in QUAD_CASES:
+        try:
+            record = quad_record(getattr(oracles, rule)(f, *interval, **kwargs))
+        except DomainError as exc:
+            record = {"DomainError": str(exc)}
+        out[f"{rule}|{label}"] = record
+    for s in (0.5, 1.0, 2.25, 0.3 + 0.4j):
+        out[f"gamma_integral_ref|{s}"] = quad_record(oracles.gamma_integral_ref(s))
+    for s in (0.5, 1.0, 2.0, 0.75 + 1.5j):
+        out[f"eta_integral_ref|{s}"] = quad_record(oracles.eta_integral_ref(s))
+    for s in (1.5, 0.8 + 0.6j):
+        for n in range(6):
+            res = oracles.integrated_by_parts_form(s, n)
+            out[f"integrated_by_parts_form|{s}|{n}"] = quad_record(res)
+    for label, s in IDENTITY_S.items():
+        for n in range(13):
+            rep = oracles.integral_identity_check(s, n)
+            out[f"integral_identity_check|{label}|{n}"] = {
+                "lhs": _hex(rep.lhs),
+                "rhs": _hex(rep.rhs),
+                "abs_discrepancy": float.hex(rep.abs_discrepancy),
+                "rel_discrepancy": float.hex(rep.rel_discrepancy),
+                "quadrature": quad_record(rep.quadrature),
+            }
+    return out
+
+
+TEXT_ARGVS = [
+    ["verify", "all", "--depth", "12", "--format", "json"],
+    ["integral-check", "--s", "0.75", "--n", "4"],
+    ["integral-check", "--s", "0.6,1.2", "--n", "7", "--tol", "1e-9"],
+]
+TABLE_ARGVS = [
+    ["tables", family, "--max", "64", "--format", fmt]
+    for family in cli.TABLE_FAMILIES
+    for fmt in ("csv", "json")
+]
+
+
+def collect_commands() -> dict:
+    out = {" ".join(argv): cli_stdout(argv) for argv in TEXT_ARGVS}
+    for argv in TABLE_ARGVS:
+        digest = hashlib.sha256(cli_stdout(argv).encode()).hexdigest()
+        out[" ".join(argv)] = f"sha256:{digest}"
+    return out
+
+
 COLLECTORS = {
     "terms.json": collect_terms,
     "coeffs.json": collect_coeffs,
     "cli.json": collect_cli,
+    "quadrature.json": collect_quadrature,
+    "commands.json": collect_commands,
 }
 
 

@@ -207,6 +207,11 @@ class TestVerify:
         assert code == cli.EXIT_VERIFY_FAILED
         assert "FAIL stirling:always_fails: synthetic failure" in out
 
+    def test_negative_depth_is_usage_error(self):
+        code, out = run_cli(["verify", "all", "--depth", "-3"])
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+
     def test_seed_changes_are_accepted(self):
         code, _ = run_cli(["verify", "oracle", "--depth", "4", "--seed", "7"])
         assert code == 0
@@ -235,6 +240,12 @@ class TestIntegralCheck:
         code, _ = run_cli(["integral-check", "--s", "1", "--n", "13"])
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        code, out = run_cli(["integral-check", "--s", "1", "--n", "0", "--tol", tol])
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -252,4 +263,22 @@ def test_float_overflow_is_a_domain_error(argv, capsys):
     assert out == ""
     err = capsys.readouterr().err
     assert err.startswith("numeric-domain error: float overflow")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "gamma", "--s", "0.5,1e308", "--terms", "3"],
+        ["converge", "gamma", "--s", "0.5,1e308", "--max-terms", "3", "--stride", "1"],
+        ["integral-check", "--s", "0.5,1e308", "--n", "0"],
+    ],
+)
+def test_phase_beyond_float_range_is_a_domain_error(argv, capsys):
+    # Im(s) = 1e308 overflows the phase of a complex power or exponential
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("numeric-domain error: ")
     assert err.count("\n") == 1

@@ -170,9 +170,9 @@ class TestConcurrentConstruction:
         # fresh triangle so construction actually races
         import threading
 
-        from gammazeta.combinatorics import CachedTriangle, _stirling1_row
+        from gammazeta.combinatorics import CachedTriangle, _two_term_row
 
-        triangle = CachedTriangle(_stirling1_row)
+        triangle = CachedTriangle(_two_term_row(lambda n, k: n - 1, lambda n, k: 1))
         errors = []
 
         def reader(seed):

@@ -1,7 +1,9 @@
-"""Golden outputs captured before the evaluators shared one engine.
+"""Golden outputs captured before the evaluators shared one engine and
+before the quadrature rules shared one level loop.
 
 Every term's bits on both backends and paths, the exact and float
-coefficient helpers, and the stdout bytes of a set of CLI commands must
+coefficient helpers, the quadrature results (value and error bits,
+evaluation counts), and the stdout bytes of a set of CLI commands must
 match what ``tests/golden/capture.py`` recorded.
 """
 

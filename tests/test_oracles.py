@@ -178,3 +178,34 @@ class TestBorweinWeights:
         ds, dn = _borwein_weights(12)
         assert all(isinstance(d, int) for d in ds)
         assert dn == ds[-1] > 0
+
+
+class TestAgainstMpmath:
+    """mpmath at 30 digits as a third oracle, independent of both ours."""
+
+    def test_gamma_ref_relative_accuracy(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(4101)
+        points = []
+        for _ in range(300):  # uniform on the disk |s| <= 20
+            r, phi = 20 * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi)
+            points.append(complex(r * math.cos(phi), r * math.sin(phi)))
+        points += [complex(rng.uniform(-20, 20)) for _ in range(300)]
+        # within 1e-12..1e-1 of a pole, where sin(pi s) cancels
+        points += [
+            complex(rng.randint(-19, 0) + rng.choice((-1, 1)) * 10 ** rng.uniform(-12, -1))
+            for _ in range(100)
+        ]
+        with mpmath.workdps(30):
+            for s in points:
+                want = complex(mpmath.gamma(mpmath.mpc(s.real, s.imag)))
+                assert abs(gamma_ref(s) - want) <= 1e-13 * abs(want), s
+
+    def test_eta_ref_accuracy(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(4102)
+        with mpmath.workdps(30):
+            for _ in range(200):
+                s = complex(rng.uniform(0.3, 8.0), rng.uniform(-30.0, 30.0))
+                want = complex(mpmath.altzeta(mpmath.mpc(s.real, s.imag)))
+                assert abs(eta_ref(s) - want) <= 1e-12 * max(1.0, abs(want)), s
