@@ -43,7 +43,6 @@ from .oracles import (
     gamma_integral_ref,
     gamma_ref,
     integral_identity_check,
-    quad_adaptive,
     quad_exp_sinh,
     quad_tanh_sinh,
     zeta_ref,
@@ -89,7 +88,6 @@ __all__ = [
     "mittag_leffler",
     "partial_bell",
     "potential_poly",
-    "quad_adaptive",
     "quad_exp_sinh",
     "quad_tanh_sinh",
     "reduced_polynomial",

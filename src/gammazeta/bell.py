@@ -131,11 +131,6 @@ class TruncatedSeries:
             out.append(acc)
         return TruncatedSeries(out)
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1])
-
     def egf_coefficients(self) -> list:
         """g_n = n! * coeffs[n] for n >= 1 (potential-polynomial input)."""
         return [factorial(n) * c for n, c in enumerate(self.coeffs)][1:]
@@ -176,7 +171,7 @@ def series_exp(series: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(e)
 
 
-def series_pow(base: TruncatedSeries, r, order: int | None = None) -> TruncatedSeries:
+def series_pow(base: TruncatedSeries, r) -> TruncatedSeries:
     """base**r as a truncated series, base having constant term 1.
 
     Computed as exp(r * log(base)): exact rationals when r and the base
@@ -186,11 +181,6 @@ def series_pow(base: TruncatedSeries, r, order: int | None = None) -> TruncatedS
     """
     if base.coeffs[0] != 1:
         raise ValueError("series_pow requires constant term 1")
-    if order is None:
-        order = base.order
-    if order > base.order:
-        raise ValueError("requested order exceeds the known coefficients")
-    base = base.truncate(order)
     logs = series_log(base)
     exact = isinstance(r, (int, Fraction)) and all(
         isinstance(c, (int, Fraction)) for c in logs.coeffs

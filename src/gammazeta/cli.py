@@ -259,6 +259,8 @@ def cmd_integral_check(args, out) -> int:
         raise UsageError("--n must lie in 0..12")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise UsageError("--tol must be a finite number > 0")
+    if args.budget < 1:
+        raise UsageError("--budget must be >= 1")
     report = oracles.integral_identity_check(
         complex(s), args.n, tol=args.tol, budget=args.budget
     )

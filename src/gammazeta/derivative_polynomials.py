@@ -22,7 +22,7 @@ scan plus bisection (no floating point in any sign decision).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .combinatorics import eulerian, stirling2
 from .polynomials import Polynomial
@@ -30,6 +30,19 @@ from .report import DefectError
 
 GRID_POINTS = 4096
 BRACKET_WIDTH = Fraction(1, 10**12)
+_X = Polynomial((0, 1))
+_X_MINUS_1 = Polynomial.x_minus(1)
+
+
+def _eulerian_form(n: int, xa: Polynomial, xb: Polynomial) -> Polynomial:
+    """F_n = sum_{k<n} E(n,k) xa**k xb**(n-1-k), by Horner's rule in xa
+    with the powers of xb carried along."""
+    acc = Polynomial.zero()
+    xb_pow = Polynomial.one()
+    for k in reversed(range(n)):
+        acc = acc * xa + xb_pow.scale(eulerian(n, k))
+        xb_pow = xb_pow * xb
+    return acc
 
 
 def riccati_derivative(n: int, a, alpha, beta) -> Polynomial:
@@ -43,32 +56,9 @@ def riccati_derivative(n: int, a, alpha, beta) -> Polynomial:
         raise ValueError("n must be >= 1")
     if not a:
         raise ValueError("leading coefficient a must be nonzero")
-    xa = Polynomial((-alpha, 1))
-    xb = Polynomial((-beta, 1))
-    if n == 1:
-        return (xa * xb).scale(a)
-    acc = Polynomial.zero()
-    xa_pow = xa  # (x-alpha)**(k+1)
-    xb_pow = xb**n  # (x-beta)**(n-k)
-    for k in range(n):
-        acc = acc + (xa_pow * xb_pow).scale(eulerian(n, k))
-        xa_pow = xa_pow * xa
-        xb_pow = xb_pow.div_linear(beta)
-    an = 1
-    for _ in range(n):
-        an = an * a
-    return acc.scale(an)
-
-
-def _q_eulerian(n: int) -> Polynomial:
-    acc = Polynomial.zero()
-    x_pow = Polynomial((0, 1))  # x**(k+1)
-    for k in range(n - 1):
-        acc = acc + (x_pow * Polynomial.x_minus(1) ** (n - 1 - k)).scale(
-            eulerian(n - 1, k)
-        )
-        x_pow = x_pow * Polynomial((0, 1))
-    return acc
+    xa = Polynomial.x_minus(alpha)
+    xb = Polynomial.x_minus(beta)
+    return (xa * xb * _eulerian_form(n, xa, xb)).scale(prod([a] * n))
 
 
 def _q_stirling(n: int) -> Polynomial:
@@ -87,9 +77,8 @@ def derivative_polynomial(n: int) -> Polynomial:
     """
     if n < 2:
         raise ValueError("defined for n >= 2")
-    from_eulerian = _q_eulerian(n)
-    from_stirling = _q_stirling(n)
-    if from_eulerian != from_stirling:
+    from_eulerian = _X * _X_MINUS_1 * _eulerian_form(n - 1, _X, _X_MINUS_1)
+    if from_eulerian != _q_stirling(n):
         raise DefectError(f"Q_{n}: Eulerian and Stirling closed forms disagree")
     return from_eulerian
 
@@ -97,23 +86,15 @@ def derivative_polynomial(n: int) -> Polynomial:
 def reduced_polynomial(n: int) -> Polynomial:
     """P_n = Q_{n+2} / (x(x-1)), degree n, built from its Eulerian form.
 
-    The divisibility is re-derived, not assumed: the quotient of Q_{n+2}
-    by x and then (x-1) must match, else a defect is raised.
+    The divisibility is re-derived, not assumed: x(x-1) P_n must equal
+    the Stirling form of Q_{n+2}, else a defect is raised.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    acc = Polynomial.zero()
-    for k in range(n + 1):
-        acc = acc + (
-            Polynomial((0, 1)) ** k * Polynomial.x_minus(1) ** (n - k)
-        ).scale(eulerian(n + 1, k))
-    try:
-        quotient = derivative_polynomial(n + 2).shift_down().div_linear(1)
-    except ValueError as exc:
-        raise DefectError(f"Q_{n + 2} is not divisible by x(x-1)") from exc
-    if quotient != acc:
+    reduced = _eulerian_form(n + 1, _X, _X_MINUS_1)
+    if _X * _X_MINUS_1 * reduced != _q_stirling(n + 2):
         raise DefectError(f"P_{n}: Eulerian form differs from Q_{n + 2}/(x(x-1))")
-    return acc
+    return reduced
 
 
 def _sign_at(p: Polynomial, point: Fraction) -> int:
@@ -139,22 +120,21 @@ def roots_in_unit_interval(p: Polynomial) -> list[tuple[Fraction, Fraction]]:
             if 0 < i < GRID_POINTS:
                 brackets.append((grid[i], grid[i]))
             continue
-        if signs[last_nonzero] != 0 and signs[last_nonzero] * sg < 0:
-            zero_between = any(signs[j] == 0 for j in range(last_nonzero + 1, i))
-            if not zero_between:
-                lo, hi = grid[last_nonzero], grid[i]
-                slo = signs[last_nonzero]
-                while hi - lo > BRACKET_WIDTH:
-                    mid = (lo + hi) / 2
-                    sm = _sign_at(p, mid)
-                    if sm == 0:
-                        lo = hi = mid
-                        break
-                    if sm == slo:
-                        lo = mid
-                    else:
-                        hi = mid
-                brackets.append((lo, hi))
+        # a zero grid point between them is already a bracket of its own
+        if i == last_nonzero + 1 and signs[last_nonzero] * sg < 0:
+            lo, hi = grid[last_nonzero], grid[i]
+            slo = signs[last_nonzero]
+            while hi - lo > BRACKET_WIDTH:
+                mid = (lo + hi) / 2
+                sm = _sign_at(p, mid)
+                if sm == 0:
+                    lo = hi = mid
+                    break
+                if sm == slo:
+                    lo = mid
+                else:
+                    hi = mid
+            brackets.append((lo, hi))
         last_nonzero = i
     if len(brackets) < p.degree:
         raise DefectError(

@@ -220,11 +220,15 @@ def running_sums(terms: list[complex]) -> list[complex]:
 
 
 def series_report(s, path: str, terms: list[complex], reference: complex) -> SeriesReport:
-    report = SeriesReport(
+    partial_sum = sum(terms)
+    abs_error = abs(partial_sum - reference)
+    return SeriesReport(
         s=complex(s),
         terms=len(terms),
         path=path,
-        partial_sum=sum(terms),
+        partial_sum=partial_sum,
+        reference=reference,
+        abs_error=abs_error,
+        rel_error=abs_error / abs(reference) if reference else float("inf"),
         term_magnitudes=[abs(t) for t in terms],
     )
-    return report.with_reference(reference)

@@ -82,11 +82,6 @@ def ml_poly(n: int) -> Polynomial:
     return Polynomial(ML_COEFFS.row(n))
 
 
-def ml_eval(n: int, x) -> complex:
-    """M_n evaluated at a complex point."""
-    return complex(ml_poly(n)(complex(x)))
-
-
 def generating_function_coeff(n: int) -> Polynomial:
     """Coefficient of t**n in ((1+t)/(1-t))**x as an exact polynomial in x.
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
 
 from .combinatorics import rising_factorial
 from .derivative_polynomials import derivative_polynomial, reduced_polynomial
@@ -66,13 +64,19 @@ def gamma_ref(s) -> complex:
     return math.sqrt(2 * math.pi) * power * cmath.exp(-t) * acc
 
 
+# At this order n d_n < 2**1023, so every partial sum of eta_ref stays finite.
+_MAX_ORDER = 399
+
+
 def _borwein_weights(n: int) -> tuple[list[int], int]:
-    # d_k = n sum_{i=0..k} (n+i-1)! 4**i / ((n-i)! (2i)!), all integers
+    # d_k = sum_{i=0..k} t_i with t_i = n (n+i-1)! 4**i / ((n-i)! (2i)!), an
+    # integer; the ratio t_{i+1}/t_i = 4(n+i)(n-i)/((2i+1)(2i+2)) divides exactly
     ds = []
-    acc = Fraction(0)
+    t = acc = 1
     for i in range(n + 1):
-        acc += Fraction(factorial(n + i - 1) * 4**i, factorial(n - i) * factorial(2 * i))
-        ds.append(int(n * acc))
+        ds.append(acc)
+        t = t * 4 * (n + i) * (n - i) // ((2 * i + 1) * (2 * i + 2))
+        acc += t
     return ds, ds[n]
 
 
@@ -80,12 +84,19 @@ def eta_ref(s, acceleration_order: int | None = None) -> complex:
     """Dirichlet eta by Borwein's alternating-series acceleration.
 
     Valid for Re(s) > 0; accuracy better than 1e-12 for Re(s) >= 0.3,
-    |Im(s)| <= 30 at the default order, which grows with |Im(s)|.
+    |Im(s)| <= 30 at the default order, which grows with |Im(s)|. An
+    order beyond 399, which the default reaches from |Im(s)| of about
+    151.7, raises DomainError.
     """
     s = complex(s)
     if s.real <= 0:
         raise DomainError("eta oracle requires Re(s) > 0")
     n = acceleration_order or (36 + int(2.4 * abs(s.imag)))
+    if n > _MAX_ORDER:
+        raise DomainError(
+            f"eta oracle needs acceleration order {n} at s = {s!r}, "
+            f"beyond {_MAX_ORDER}; its sums would overflow"
+        )
     ds, dn = _borwein_weights(n)
     acc = 0j
     for k in range(n):
@@ -116,6 +127,7 @@ DEFAULT_QUAD_BUDGET = 2_000_000
 _T_MAX = 6.2  # node weights underflow beyond this in either map
 _MAX_LEVEL = 12  # halvings of the step h before a rule gives up
 _HALF_PI = math.pi / 2
+_REF_TOL = 1e-11  # tolerance of the reference integrals built on the rules
 
 
 def _de_quadrature(f, nodes, tol: float, budget: int) -> QuadratureResult:
@@ -215,16 +227,7 @@ def quad_exp_sinh(
     return _de_quadrature(f, nodes, tol, budget)
 
 
-def quad_adaptive(f, a: float, b: float, tol: float = DEFAULT_QUAD_TOL,
-                  budget: int = DEFAULT_QUAD_BUDGET) -> QuadratureResult:
-    """Dispatch on the interval: tanh-sinh for finite (a, b), exp-sinh
-    when b is infinite."""
-    if math.isinf(b):
-        return quad_exp_sinh(f, a, tol=tol, budget=budget)
-    return quad_tanh_sinh(f, a, b, tol=tol, budget=budget)
-
-
-def gamma_integral_ref(s, tol: float = 1e-11) -> QuadratureResult:
+def gamma_integral_ref(s) -> QuadratureResult:
     """Quadrature of the defining integral of Gamma(s+1):
 
         int_0^1 (-log(1-t))**s dt = int_0^1 (-log u)**s du,
@@ -238,10 +241,10 @@ def gamma_integral_ref(s, tol: float = 1e-11) -> QuadratureResult:
     def integrand(u: float) -> complex:
         return (-math.log(u)) ** s
 
-    return quad_tanh_sinh(integrand, 0.0, 1.0, tol=tol)
+    return quad_tanh_sinh(integrand, 0.0, 1.0, tol=_REF_TOL)
 
 
-def eta_integral_ref(s, tol: float = 1e-11) -> QuadratureResult:
+def eta_integral_ref(s) -> QuadratureResult:
     """Quadrature of the defining integral int_0^inf t**(s-1)/(1+e^t) dt,
     whose value is eta(s)Gamma(s).
 
@@ -251,7 +254,7 @@ def eta_integral_ref(s, tol: float = 1e-11) -> QuadratureResult:
     s = complex(s)
     if s.real <= 0:
         raise DomainError("integral converges only for Re(s) > 0")
-    return quad_exp_sinh(_reduced_integrand(s - 1, (1,), 1), 0.0, tol=tol)
+    return quad_exp_sinh(_reduced_integrand(s - 1, (1,), 1), 0.0, tol=_REF_TOL)
 
 
 def _reduced_integrand(power: complex, coeffs, k: int):
@@ -275,7 +278,7 @@ def _reduced_integrand(power: complex, coeffs, k: int):
     return integrand
 
 
-def integrated_by_parts_form(s, n: int, tol: float = 1e-11) -> QuadratureResult:
+def integrated_by_parts_form(s, n: int) -> QuadratureResult:
     """eta(s)Gamma(s) recovered from the n-times integrated-by-parts
     integral: (-1)**(n+1)/s^(n+1 rising) int_0^inf t**(s+n) Q_{n+2}(x(t)) dt
     with x(t) = 1/(1+e^t).
@@ -290,7 +293,7 @@ def integrated_by_parts_form(s, n: int, tol: float = 1e-11) -> QuadratureResult:
     reduced = derivative_polynomial(n + 2).shift_down()  # Q_{n+2}(x)/x
     # e^t * Q(x) = e^t x * (Q(x)/x) = (Q(x)/x)/(1+e^{-t})
     integrand = _reduced_integrand(s + n, reduced.coeffs, 1)
-    res = quad_exp_sinh(integrand, 0.0, tol=tol)
+    res = quad_exp_sinh(integrand, 0.0, tol=_REF_TOL)
     scale = (-1) ** (n + 1) / rising_factorial(s, n + 1)
     return QuadratureResult(res.value * scale, res.error_estimate * abs(scale),
                             res.evaluations, res.converged)

@@ -172,37 +172,11 @@ class Polynomial:
             out = out * x + c
         return out
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        result = Polynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shift_down(self) -> "Polynomial":
         """Exact division by x; the constant term must vanish."""
         if self.coeffs and self.coeffs[0]:
             raise ValueError("constant term is nonzero; not divisible by x")
         return Polynomial(self.coeffs[1:])
-
-    def div_linear(self, c) -> "Polynomial":
-        """Exact division by (x - c); raises if the remainder is nonzero."""
-        if not self:
-            return Polynomial.zero()
-        d = self.degree
-        quot = [0] * d
-        carry = self.coeffs[d]
-        for i in range(d - 1, -1, -1):
-            quot[i] = carry
-            carry = self.coeffs[i] + c * carry
-        if carry:
-            raise ValueError(f"nonzero remainder {carry!r} dividing by (x - {c!r})")
-        return Polynomial(quot)
 
     def eval_int_scaled(self, num: int, den: int) -> int:
         """Integer N = den**degree * p(num/den), exact for int coefficients.

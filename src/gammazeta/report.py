@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class DomainError(ValueError):
@@ -28,22 +28,15 @@ class SeriesReport:
 
     ``partial_sum`` is the truncated value, ``term_magnitudes[i]`` the
     absolute value of the i-th term. ``reference`` is an independently
-    computed target value; errors are against it (None when no
-    reference applies).
+    computed target value; errors are against it (``rel_error`` is
+    infinite when the reference is 0).
     """
 
     s: complex
     terms: int
     path: str
     partial_sum: complex
-    reference: complex | None = None
-    abs_error: float | None = None
-    rel_error: float | None = None
-    term_magnitudes: list[float] = field(default_factory=list)
-
-    def with_reference(self, reference: complex) -> "SeriesReport":
-        self.reference = reference
-        self.abs_error = abs(self.partial_sum - reference)
-        denom = abs(reference)
-        self.rel_error = self.abs_error / denom if denom else float("inf")
-        return self
+    reference: complex
+    abs_error: float
+    rel_error: float
+    term_magnitudes: list[float]

@@ -288,7 +288,7 @@ def check_ml_diagonal_and_divisibility(depth: int, rng) -> str | None:
 
 def check_ml_generating_function(depth: int, rng) -> str | None:
     for n in range(min(depth, 10) + 1):
-        lhs = mittag_leffler.generating_function_coeff(n).scale(factorial(n))
+        lhs = mittag_leffler.ml_poly_from_generating_function(n)
         if lhs != mittag_leffler.ml_poly(n):
             return f"generating-function route fails at n={n}"
     return None

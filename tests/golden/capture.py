@@ -24,6 +24,12 @@ that has the current API.
 - ``commands.json``: the stdout of ``verify`` and ``integral-check``
   commands byte for byte, and the SHA-256 of the stdout of ``tables``
   for every family to ``--max 64`` in csv and json.
+- ``polynomials.json``: the Riccati derivative polynomials, ``Q_n`` and
+  ``P_n``, every coefficient by value as the strings of the real and
+  imaginary ``Fraction`` parts; the root brackets of ``P_1..P_13`` and
+  the interlacing verdicts; ``series_pow`` of two exact bases (complex
+  powers as ``float.hex``); and the ``float.hex`` of ``eta_ref`` on the
+  critical line up to Im s = 150.
 """
 
 from __future__ import annotations
@@ -38,7 +44,16 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from gammazeta import cli, gamma_expansion, oracles, zeta_expansion
+from gammazeta import (
+    GaussianRational,
+    TruncatedSeries,
+    cli,
+    derivative_polynomials,
+    gamma_expansion,
+    oracles,
+    series_pow,
+    zeta_expansion,
+)
 from gammazeta.report import DomainError
 
 HERE = Path(__file__).resolve().parent
@@ -231,12 +246,72 @@ def collect_commands() -> dict:
     return out
 
 
+# (a, alpha, beta) of x' = a(x-alpha)(x-beta): the three equations of
+# ``verify``, one with fractional parameters and one with a leading
+# coefficient and a conjugate pair off the imaginary axis
+RICCATI_CASES = {
+    "logistic": (1, 0, 1),
+    "tan": (1, GaussianRational(0, 1), GaussianRational(0, -1)),
+    "tanh": (-1, 1, -1),
+    "1/2,1/3,2/5": (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)),
+    "3,1+2i,1-2i": (3, GaussianRational(1, 2), GaussianRational(1, -2)),
+}
+POW_BASES = {
+    "1+t/2-t^2/3+t^3": (1, Fraction(1, 2), Fraction(-1, 3), 1, 0, Fraction(2, 7)),
+    "1-3t+t^4/5": (1, -3, 0, 0, Fraction(1, 5), 0, 0, 1),
+}
+POW_EXPONENTS = {"-1": -1, "0": 0, "2": 2, "1/3": Fraction(1, 3), "5/2": Fraction(5, 2),
+                 "0.5+0.25j": 0.5 + 0.25j}
+
+
+def _exact_text(c) -> str:
+    """Value of an exact coefficient as ``re,im`` Fraction strings, so an
+    int 0 and ``GaussianRational(0, 0)`` record the same."""
+    if isinstance(c, GaussianRational):
+        return f"{c.re},{c.im}"
+    return f"{Fraction(c)},0"
+
+
+def _poly_text(p) -> list[str]:
+    return [_exact_text(c) for c in p.coeffs]
+
+
+def collect_polynomials() -> dict:
+    dp = derivative_polynomials
+    out = {}
+    for label, (a, alpha, beta) in RICCATI_CASES.items():
+        for n in range(1, 15):
+            poly = dp.riccati_derivative(n, a, alpha, beta)
+            out[f"riccati_derivative|{label}|{n}"] = _poly_text(poly)
+    for n in range(2, 18):
+        out[f"derivative_polynomial|{n}"] = _poly_text(dp.derivative_polynomial(n))
+    for n in range(16):
+        out[f"reduced_polynomial|{n}"] = _poly_text(dp.reduced_polynomial(n))
+    for n in range(1, 14):
+        brackets = dp.roots_in_unit_interval(dp.reduced_polynomial(n))
+        out[f"roots_in_unit_interval|{n}"] = [[str(lo), str(hi)] for lo, hi in brackets]
+    for n in range(14):
+        out[f"interlacing_check|{n}"] = dp.interlacing_check(n)
+    for base_label, coeffs in POW_BASES.items():
+        base = TruncatedSeries(coeffs)
+        for r_label, r in POW_EXPONENTS.items():
+            series = series_pow(base, r)
+            out[f"series_pow|{base_label}|{r_label}"] = [
+                _coeff_text(c) if isinstance(r, complex) else str(Fraction(c))
+                for c in series.coeffs
+            ]
+    for t in (0, 8, 30, 100, 150):
+        out[f"eta_ref|0.5+{t}j"] = _hex(oracles.eta_ref(complex(0.5, t)))
+    return out
+
+
 COLLECTORS = {
     "terms.json": collect_terms,
     "coeffs.json": collect_coeffs,
     "cli.json": collect_cli,
     "quadrature.json": collect_quadrature,
     "commands.json": collect_commands,
+    "polynomials.json": collect_polynomials,
 }
 
 

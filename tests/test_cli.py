@@ -240,6 +240,13 @@ class TestIntegralCheck:
         code, _ = run_cli(["integral-check", "--s", "1", "--n", "13"])
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_must_be_positive(self, budget):
+        code, out = run_cli(["integral-check", "--s", "0.75", "--n", "2",
+                             "--budget", budget])
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_tol_must_be_finite_and_positive(self, tol):
         code, out = run_cli(["integral-check", "--s", "1", "--n", "0", "--tol", tol])
@@ -281,4 +288,22 @@ def test_phase_beyond_float_range_is_a_domain_error(argv, capsys):
     assert out == ""
     err = capsys.readouterr().err
     assert err.startswith("numeric-domain error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "zeta", "--s", "0.01,153", "--terms", "3"],
+        ["eval", "zeta", "--s", "0.5,2000", "--terms", "3"],
+        ["converge", "zeta", "--s", "0.5,1e6", "--max-terms", "3", "--stride", "1"],
+    ],
+)
+def test_eta_oracle_order_cap_is_a_domain_error(argv, capsys):
+    # |Im s| beyond about 151.7 needs a Borwein order above 399, whose sums overflow
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("numeric-domain error: eta oracle")
     assert err.count("\n") == 1

@@ -1,10 +1,13 @@
-"""Golden outputs captured before the evaluators shared one engine and
-before the quadrature rules shared one level loop.
+"""Golden outputs captured before the evaluators shared one engine,
+before the quadrature rules shared one level loop, and before the
+derivative polynomials shared one Eulerian form.
 
 Every term's bits on both backends and paths, the exact and float
 coefficient helpers, the quadrature results (value and error bits,
-evaluation counts), and the stdout bytes of a set of CLI commands must
-match what ``tests/golden/capture.py`` recorded.
+evaluation counts), the stdout bytes of a set of CLI commands, and the
+derivative polynomials, root brackets, series powers and eta oracle
+values of ``polynomials.json`` must match what
+``tests/golden/capture.py`` recorded.
 """
 
 import importlib.util

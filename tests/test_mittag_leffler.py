@@ -64,7 +64,7 @@ class TestPolynomials:
 
     def test_no_constant_term(self):
         for n in range(1, 10):
-            assert ml.ml_eval(n, 0) == 0
+            assert ml.ml_poly(n)(0) == 0
 
     def test_recurrence_three_term(self):
         two_x = Polynomial((0, 2))

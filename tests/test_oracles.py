@@ -2,6 +2,8 @@
 
 import math
 import random
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -14,7 +16,6 @@ from gammazeta import (
     gamma_integral_ref,
     gamma_ref,
     integral_identity_check,
-    quad_adaptive,
     quad_exp_sinh,
     quad_tanh_sinh,
     zeta_ref,
@@ -102,12 +103,6 @@ class TestQuadrature:
         res = quad_exp_sinh(lambda t: math.exp(-t), 0.0)
         assert res.value.real == pytest.approx(1.0, abs=1e-12)
 
-    def test_adaptive_dispatch(self):
-        finite = quad_adaptive(lambda t: t, 0.0, 2.0)
-        assert finite.value.real == pytest.approx(2.0, abs=1e-11)
-        infinite = quad_adaptive(lambda t: t * math.exp(-t), 0.0, math.inf)
-        assert infinite.value.real == pytest.approx(1.0, abs=1e-11)
-
     def test_log_endpoint_singularity(self):
         # int_0^1 log(u) du = -1
         res = quad_tanh_sinh(lambda u: math.log(u), 0.0, 1.0)
@@ -178,6 +173,28 @@ class TestBorweinWeights:
         ds, dn = _borwein_weights(12)
         assert all(isinstance(d, int) for d in ds)
         assert dn == ds[-1] > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 60, 200])
+    def test_weights_match_the_factorial_closed_form(self, n):
+        from gammazeta.oracles import _borwein_weights
+
+        # d_k = n sum_{i=0..k} (n+i-1)! 4**i / ((n-i)! (2i)!)
+        expected, acc = [], Fraction(0)
+        for i in range(n + 1):
+            acc += Fraction(factorial(n + i - 1) * 4**i,
+                            factorial(n - i) * factorial(2 * i))
+            expected.append(n * acc)
+        assert _borwein_weights(n) == (expected, expected[-1])
+
+    def test_highest_order_stays_finite(self):
+        value = eta_ref(0.01 + 150j, acceleration_order=399)
+        assert math.isfinite(value.real) and math.isfinite(value.imag)
+
+    def test_order_beyond_399_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            eta_ref(0.5, acceleration_order=400)
+        with pytest.raises(DomainError):
+            eta_ref(0.5 + 170j)  # default order 36 + int(2.4 * 170) = 444
 
 
 class TestAgainstMpmath:
