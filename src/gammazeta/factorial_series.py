@@ -21,8 +21,9 @@ summands g[r,b] = T[r,b](s)_b/(r+b)! by
     g[r,b] = (r+b-d)/(r+b) g[r-d,b] + (s-b+1)/(r+b) g[r-d,b-1].
 
 For rational s = p/q both run over exact integers (scaled by a common
-denominator per term) and round each term once, to a correctly rounded
-float. For non-real s they run in complex floating point.
+denominator per term), sum each term by Horner's rule and round it
+once, to a correctly rounded float. For non-real s they run in complex
+floating point.
 
 Domain checks and the prefactor stay with the callers, as does the
 choice between the exact and the float backend.
@@ -101,17 +102,31 @@ def _falling(p: int, q: int, n: int) -> list[int]:
     return falling
 
 
-def _numerator(row: list[int], a: int, r: int, q: int) -> int:
-    # sum_b row[b] q**(a-b) (r+a)!/(r+b)!: the sum of row[b]/(q**b (r+b)!)
-    # over the common denominator q**a (r+a)!
+def _numerator(row: list[int], r: int, q: int) -> int:
+    # sum_b row[b] q**(a-b) (r+a)!/(r+b)!, a = len(row) - 1: the sum of
+    # row[b]/(q**b (r+b)!) over the common denominator q**a (r+a)!, by
+    # Horner's rule with b ascending (one small-by-big product per step)
     num = 0
-    rising = 1  # (r+a)!/(r+b)! accumulated while b descends from a
-    qpow = 1    # q**(a-b)
-    for b in range(a, 0, -1):
-        num += row[b] * qpow * rising
-        rising *= r + b
-        qpow *= q
+    for b in range(1, len(row)):
+        num = num * ((r + b) * q) + row[b]
     return num
+
+
+def _exact_sums(side: Side, p: int, q: int, n: int, path: str):
+    """(numerator, denominator) of A_a(p/q) for a = 1..n-1, over the
+    common denominator q**a (r+a)!."""
+    d = side.stride
+    if path == "direct":
+        side.triangle.ensure(n - 1)
+        falling = _falling(p, q, n)
+    row = [1]
+    for a in range(1, n):
+        r = d * a
+        if path == "direct":
+            row = [f * t for f, t in zip(falling, side.triangle.row(a))]
+        else:
+            row = _next_row(row, [(p - j * q) * m for j, m in enumerate(row)], a, d)
+        yield _numerator(row, r, q), q**a * factorial(r + a)
 
 
 def exact_terms(
@@ -121,20 +136,9 @@ def exact_terms(
     once; ``pref`` (a float, or None for no prefactor) scales each
     rounded term."""
     p, q = s.numerator, s.denominator
-    d = side.stride
     terms = [q / (p + q) if pref is None else pref * q / (p + q)]
-    if path == "direct":
-        side.triangle.ensure(n_terms - 1)
-        falling = _falling(p, q, n_terms)
-    row = [1]
-    for a in range(1, n_terms):
-        r = d * a
-        if path == "direct":
-            row = [f * t for f, t in zip(falling, side.triangle.row(a))]
-        else:
-            row = _next_row(row, [(p - j * q) * m for j, m in enumerate(row)], a, d)
-        den = q**a * factorial(r + a) * (p + (r + 1) * q)
-        t = (_numerator(row, a, r, q) * q) / den
+    for a, (num, den) in enumerate(_exact_sums(side, p, q, n_terms, path), 1):
+        t = (num * q) / (den * (p + (side.stride * a + 1) * q))
         terms.append(t if pref is None else pref * t)
     return [complex(t) for t in terms]
 
@@ -203,14 +207,8 @@ def coefficients(side: Side, s, order: int) -> list:
     side.triangle.ensure(order)
     frac = as_fraction(s)
     if frac is not None:
-        p, q = frac.numerator, frac.denominator
-        falling = _falling(p, q, order + 1)
-        coeffs: list = [Fraction(1)]
-        for a in range(1, order + 1):
-            r = side.stride * a
-            row = [f * t for f, t in zip(falling, side.triangle.row(a))]
-            coeffs.append(Fraction(_numerator(row, a, r, q), q**a * factorial(r + a)))
-        return coeffs
+        sums = _exact_sums(side, frac.numerator, frac.denominator, order + 1, "direct")
+        return [Fraction(1)] + [Fraction(num, den) for num, den in sums]
     binom = _binomials(complex(s), order + 1)
     return [1 + 0j] + [_float_coeff(side, binom, a) for a in range(1, order + 1)]
 

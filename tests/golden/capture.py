@@ -15,6 +15,8 @@ that has the current API.
   ``re,im`` line per term. A mismatch names the case; re-run this
   script on both commits and diff the full listing (:func:`term_lines`)
   to find the term.
+- ``terms_deep.json``: the same digests at the depths the exact
+  benchmark reaches (N up to 450), for one exact rational per side.
 - ``coeffs.json``: ``integrand_coeffs`` and ``log_ratio_coeffs`` to
   order 30, exact Fractions as strings, complex floats as ``float.hex``.
 - ``cli.json``: the stdout of a set of CLI commands, byte for byte.
@@ -118,6 +120,22 @@ def collect_terms() -> dict:
                 for n in DEPTHS:
                     digest = hashlib.sha256(term_lines(side, path, s, n).encode())
                     out[f"{side}|{path}|{label}|{n}"] = digest.hexdigest()
+    return out
+
+
+# (side, s label, s, N): the deepest exact rows a workload runs
+DEEP_CASES = [
+    ("gamma", "3/10", Fraction(3, 10), 450),
+    ("zeta", "7/4", Fraction(7, 4), 320),
+]
+
+
+def collect_deep_terms() -> dict:
+    out = {}
+    for side, label, s, n in DEEP_CASES:
+        for path in PATHS:
+            digest = hashlib.sha256(term_lines(side, path, s, n).encode())
+            out[f"{side}|{path}|{label}|{n}"] = digest.hexdigest()
     return out
 
 
@@ -307,6 +325,7 @@ def collect_polynomials() -> dict:
 
 COLLECTORS = {
     "terms.json": collect_terms,
+    "terms_deep.json": collect_deep_terms,
     "coeffs.json": collect_coeffs,
     "cli.json": collect_cli,
     "quadrature.json": collect_quadrature,

@@ -1,10 +1,12 @@
 """The shared factorial-series engine behind both expansions."""
 
 from fractions import Fraction
+from math import factorial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gammazeta import factorial_series as fs
 from gammazeta import gamma_expansion as ge
 from gammazeta import zeta_expansion as ze
 
@@ -32,3 +34,16 @@ def test_gamma_paths_agree_bit_for_bit(s, n_terms):
 def test_zeta_paths_agree_bit_for_bit(s, n_terms):
     direct = ze.expansion_terms(s, n_terms, "direct")
     assert _bits(direct) == _bits(ze.expansion_terms(s, n_terms, "recurrence"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), a=st.integers(0, 40), stride=st.sampled_from((1, 2)),
+       q=st.integers(1, 50))
+def test_horner_numerator_is_the_defining_sum(data, a, stride, q):
+    r = stride * a
+    row = data.draw(st.lists(st.integers(-(10**40), 10**40),
+                             min_size=a + 1, max_size=a + 1))
+    # sum_b row[b] q**(a-b) (r+a)!/(r+b)!, each quotient of factorials exact
+    expected = sum(row[b] * q ** (a - b) * (factorial(r + a) // factorial(r + b))
+                   for b in range(1, a + 1))
+    assert fs._numerator(row, r, q) == expected

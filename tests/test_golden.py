@@ -1,6 +1,7 @@
 """Golden outputs captured before the evaluators shared one engine,
-before the quadrature rules shared one level loop, and before the
-derivative polynomials shared one Eulerian form.
+before the quadrature rules shared one level loop, before the
+derivative polynomials shared one Eulerian form, and before the exact
+sums used Horner's rule (``terms_deep.json``, at N up to 450).
 
 Every term's bits on both backends and paths, the exact and float
 coefficient helpers, the quadrature results (value and error bits,

@@ -196,6 +196,11 @@ class TestBorweinWeights:
         with pytest.raises(DomainError):
             eta_ref(0.5 + 170j)  # default order 36 + int(2.4 * 170) = 444
 
+    @pytest.mark.parametrize("order", [0, -5])
+    def test_order_below_1_is_rejected(self, order):
+        with pytest.raises(ValueError, match="acceleration order >= 1"):
+            eta_ref(0.5, acceleration_order=order)
+
 
 class TestAgainstMpmath:
     """mpmath at 30 digits as a third oracle, independent of both ours."""
