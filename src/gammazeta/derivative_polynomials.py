@@ -15,20 +15,20 @@ Stirling-number closed form
 
 Q_n is divisible by x(x-1); the quotient P_{n-2} (deg n-2) is what the
 zeta-side integral identities integrate against. For n >= 1, P_n has n
-simple real roots in (0,1), located here by an exact-arithmetic sign
-scan plus bisection (no floating point in any sign decision).
+simple real roots in (0,1), located here at any degree by dyadic
+bisection with Descartes' rule of signs (no floating point anywhere).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, prod
 
 from .combinatorics import eulerian, stirling2
 from .polynomials import Polynomial
 from .report import DefectError
 
-GRID_POINTS = 4096
 BRACKET_WIDTH = Fraction(1, 10**12)
 _X = Polynomial((0, 1))
 _X_MINUS_1 = Polynomial.x_minus(1)
@@ -97,45 +97,52 @@ def reduced_polynomial(n: int) -> Polynomial:
     return reduced
 
 
-def _sign_at(p: Polynomial, point: Fraction) -> int:
-    v = p.eval_int_scaled(point.numerator, point.denominator)
-    return (v > 0) - (v < 0)
+def _taylor_shift(coeffs: list) -> list:
+    """Coefficients of q(x+1) from those of q(x), by synthetic division:
+    each running sum from the top fixes the lowest open coefficient."""
+    sums, shifted = coeffs[::-1], []
+    while sums:
+        sums = list(accumulate(sums))
+        shifted.append(sums.pop())
+    return shifted
 
 
 def roots_in_unit_interval(p: Polynomial) -> list[tuple[Fraction, Fraction]]:
-    """Bracket every root of p in (0,1) to width <= 1e-12, exactly.
+    """Bracket every root of p in (0,1) to width <= 1e-12, exactly, in
+    increasing order.
 
-    Scans a uniform grid of 4096 cells for sign changes (all roots of
-    the reduced polynomials are simple, so sign changes find them),
-    then bisects with exact rational arithmetic. A grid point that is
-    itself a root yields a zero-width bracket. Raises DefectError if
-    fewer brackets than deg(p) appear.
+    Dyadic bisection tested by Descartes' rule of signs (Collins &
+    Akritas 1976). The cell [c/2**k, (c+1)/2**k] carries the integer
+    polynomial q(x) = 2**(k m) p((c+x)/2**k); its left half is q(x/2)
+    scaled by 2**m, its right half that shifted by 1. A cell is dropped
+    when the rule admits no root and halved while it admits some and is
+    wider than 1e-12. A narrower cell is a bracket if the rule admits
+    exactly one root; a root cluster or multiple root yields none. A
+    zero constant term marks a dyadic root: a zero-width bracket,
+    divided out. Raises DefectError if fewer brackets than deg(p) appear.
     """
-    grid = [Fraction(i, GRID_POINTS) for i in range(GRID_POINTS + 1)]
-    signs = [_sign_at(p, g) for g in grid]
+    if not p:
+        raise ValueError("the zero polynomial vanishes on all of (0,1)")
     brackets: list[tuple[Fraction, Fraction]] = []
-    last_nonzero = 0  # index of last grid point with nonzero sign
-    for i, sg in enumerate(signs):
-        if sg == 0:
-            if 0 < i < GRID_POINTS:
-                brackets.append((grid[i], grid[i]))
-            continue
-        # a zero grid point between them is already a bracket of its own
-        if i == last_nonzero + 1 and signs[last_nonzero] * sg < 0:
-            lo, hi = grid[last_nonzero], grid[i]
-            slo = signs[last_nonzero]
-            while hi - lo > BRACKET_WIDTH:
-                mid = (lo + hi) / 2
-                sm = _sign_at(p, mid)
-                if sm == 0:
-                    lo = hi = mid
-                    break
-                if sm == slo:
-                    lo = mid
-                else:
-                    hi = mid
-            brackets.append((lo, hi))
-        last_nonzero = i
+    cells = [(0, 0, list(p.coeffs))]  # (k, c, q), the leftmost cell last
+    while cells:
+        k, c, q = cells.pop()
+        lo, width = Fraction(c, 1 << k), Fraction(1, 1 << k)
+        if not q[0]:
+            if c:  # a root at 0 is outside (0,1)
+                brackets.append((lo, lo))
+            q = q[next(i for i, a in enumerate(q) if a):]
+        # sign variations of (x+1)**m q(1/(x+1)) bound the roots in the
+        # cell, with the same parity, and equal them when all are real
+        signs = [a > 0 for a in _taylor_shift(q[::-1]) if a]
+        roots = sum(a != b for a, b in zip(signs, signs[1:]))
+        if width > BRACKET_WIDTH and roots:
+            m = len(q) - 1
+            left = [a * (1 << (m - i)) for i, a in enumerate(q)]
+            cells.append((k + 1, 2 * c + 1, _taylor_shift(left)))
+            cells.append((k + 1, 2 * c, left))
+        elif roots == 1:
+            brackets.append((lo, lo + width))
     if len(brackets) < p.degree:
         raise DefectError(
             f"found {len(brackets)} roots in (0,1), expected {p.degree}"

@@ -2,8 +2,8 @@
 
 Coefficients may be plain ints, Fractions, or GaussianRational values;
 arithmetic never leaves the exact ring. Evaluation accepts anything the
-coefficients can multiply with (Fraction grid points for sign scans,
-complex for numeric work).
+coefficients can multiply with (Fractions for exact values, complex
+for numeric work).
 """
 
 from __future__ import annotations
@@ -177,19 +177,6 @@ class Polynomial:
         if self.coeffs and self.coeffs[0]:
             raise ValueError("constant term is nonzero; not divisible by x")
         return Polynomial(self.coeffs[1:])
-
-    def eval_int_scaled(self, num: int, den: int) -> int:
-        """Integer N = den**degree * p(num/den), exact for int coefficients.
-
-        sign(N) = sign(p(num/den)), so sign tests on rational grid points
-        never touch floating point.
-        """
-        out = 0
-        power = 1
-        for c in reversed(self.coeffs):
-            out = out * num + c * power
-            power *= den
-        return out
 
     def __repr__(self):
         if not self.coeffs:

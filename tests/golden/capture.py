@@ -28,7 +28,7 @@ that has the current API.
   for every family to ``--max 64`` in csv and json.
 - ``polynomials.json``: the Riccati derivative polynomials, ``Q_n`` and
   ``P_n``, every coefficient by value as the strings of the real and
-  imaginary ``Fraction`` parts; the root brackets of ``P_1..P_13`` and
+  imaginary ``Fraction`` parts; the root brackets of ``P_1..P_19`` and
   the interlacing verdicts; ``series_pow`` of two exact bases (complex
   powers as ``float.hex``); and the ``float.hex`` of ``eta_ref`` on the
   critical line up to Im s = 150.
@@ -305,7 +305,7 @@ def collect_polynomials() -> dict:
         out[f"derivative_polynomial|{n}"] = _poly_text(dp.derivative_polynomial(n))
     for n in range(16):
         out[f"reduced_polynomial|{n}"] = _poly_text(dp.reduced_polynomial(n))
-    for n in range(1, 14):
+    for n in range(1, 20):
         brackets = dp.roots_in_unit_interval(dp.reduced_polynomial(n))
         out[f"roots_in_unit_interval|{n}"] = [[str(lo), str(hi)] for lo, hi in brackets]
     for n in range(14):

@@ -207,6 +207,19 @@ class TestVerify:
         assert code == cli.EXIT_VERIFY_FAILED
         assert "FAIL stirling:always_fails: synthetic failure" in out
 
+    def test_path_equivalence_is_bit_for_bit_at_real_points(self):
+        class OneUlpApart:
+            @staticmethod
+            def partial_sums(s, n_terms, path):
+                value = complex(1.0) if path == "direct" else complex(1.0 + 2**-52)
+                return [value] * n_terms
+
+        check = verify_mod._path_equivalence
+        assert check(OneUlpApart, (1 + 1j,), 3, 0, None) is None
+        assert check(OneUlpApart, (0.5,), 3, 0, None) == (
+            "paths diverge at s=0.5, 1 terms: 2.22e-16"
+        )
+
     def test_negative_depth_is_usage_error(self):
         code, out = run_cli(["verify", "all", "--depth", "-3"])
         assert code == cli.EXIT_USAGE

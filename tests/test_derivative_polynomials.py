@@ -14,6 +14,7 @@ from gammazeta import (
     riccati_derivative,
     roots_in_unit_interval,
 )
+from gammazeta.derivative_polynomials import BRACKET_WIDTH
 
 RICCATI_CASES = (
     (1, 0, 1),  # logistic decay: x' = x^2 - x
@@ -111,6 +112,21 @@ class TestRoots:
         with pytest.raises(DefectError):
             roots_in_unit_interval(Polynomial((1, 0, 1)))  # x^2 + 1
 
+    def test_zero_polynomial_is_rejected(self):
+        with pytest.raises(ValueError):
+            roots_in_unit_interval(Polynomial(()))
+
+    @pytest.mark.parametrize("n", [20, 25, 30])
+    def test_high_degrees(self, n):
+        p = reduced_polynomial(n)
+        roots = roots_in_unit_interval(p)
+        assert len(roots) == n
+        for lo, hi in roots:
+            assert 0 <= hi - lo <= BRACKET_WIDTH
+            assert p(lo) * p(hi) <= 0
+        for (lo, hi), (mirror_lo, mirror_hi) in zip(roots, reversed(roots)):
+            assert (lo, hi) == (1 - mirror_hi, 1 - mirror_lo)
+
     def test_symmetry_of_even_degree_roots(self):
         # the root set of each reduced polynomial is symmetric about 1/2
         roots = roots_in_unit_interval(reduced_polynomial(4))
@@ -130,3 +146,7 @@ class TestInterlacing:
     def test_through_degree_12(self):
         for n in range(13):
             assert interlacing_check(n) is True
+
+    @pytest.mark.parametrize("n", [19, 24])
+    def test_high_degrees(self, n):
+        assert interlacing_check(n) is True

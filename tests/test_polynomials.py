@@ -37,14 +37,6 @@ class TestPolynomial:
         with pytest.raises(ValueError):
             Polynomial((1, 2)).shift_down()
 
-    def test_scaled_integer_evaluation_sign(self):
-        p = Polynomial((-1, 0, 6))  # 6x^2 - 1, roots at +-1/sqrt(6)
-        for num, den in ((1, 3), (2, 3), (1, 2), (40, 98)):
-            scaled = p.eval_int_scaled(num, den)
-            exact = p(Fraction(num, den))
-            assert (scaled > 0) == (exact > 0)
-            assert (scaled == 0) == (exact == 0)
-
 
 class TestGaussianRational:
     def test_arithmetic(self):
