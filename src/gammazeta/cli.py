@@ -2,11 +2,14 @@
 convergence studies, integral checks, and the verification suites.
 
 Exit codes are a stable contract:
-    0  success
-    1  verification failure
-    2  usage error
-    3  numeric-domain error (poles, out-of-domain arguments)
-    4  quadrature budget exceeded
+    0    success
+    1    verification failure
+    2    usage error (including --terms or --max-terms above MAX_TERMS)
+    3    numeric-domain error (poles, out-of-domain arguments)
+    4    quadrature budget exceeded
+    141  the reader of stdout closed it early, as in ``| head``; nothing
+         goes to stderr (128 + SIGPIPE, the status a shell reports for a
+         process that SIGPIPE ended)
 
 All JSON output is a single object with schema_version, command,
 parameters, and payload; big integers are serialized as decimal strings
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -35,12 +39,17 @@ from .report import BudgetExceededError, DomainError
 
 SCHEMA_VERSION = "1.0"
 DEFAULT_TABLE_CAP = 64
+# cap on --terms and --max-terms: with integer or complex s the direct
+# path caches the exact kernel triangle, ~0.8 GiB for zeta at 1000 terms
+# and growing like N**3.2
+MAX_TERMS = 1000
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
+EXIT_PIPE = 141
 
 
 class UsageError(Exception):
@@ -144,6 +153,8 @@ EVALUATORS = {"gamma": gamma_expansion, "zeta": zeta_expansion}
 def cmd_eval(args, out) -> int:
     if args.terms < 1:
         raise UsageError("--terms must be >= 1")
+    if args.terms > MAX_TERMS:
+        raise UsageError(f"--terms {args.terms} exceeds the cap {MAX_TERMS}")
     s = parse_complex_flag(args.s)
     report = EVALUATORS[args.target].evaluate(s, args.terms, args.path)
     payload = {
@@ -172,6 +183,8 @@ def cmd_eval(args, out) -> int:
 def cmd_converge(args, out) -> int:
     if not 1 <= args.stride <= args.max_terms:
         raise UsageError("requires max-terms >= stride >= 1")
+    if args.max_terms > MAX_TERMS:
+        raise UsageError(f"--max-terms {args.max_terms} exceeds the cap {MAX_TERMS}")
     s = parse_complex_flag(args.s)
     module = EVALUATORS[args.target]
     sums = module.partial_sums(s, args.max_terms, args.path)
@@ -349,7 +362,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout goes to devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,10 +14,11 @@ from typing import Callable
 
 
 class CachedTriangle:
-    """Ragged table of exact integers indexed by (row, column).
+    """Ragged table indexed by (row, column): exact integers, or the
+    floats derived from them.
 
     Rows are produced by ``build_row(rows, n)``, which receives all
-    previously built rows and must return row ``n`` as a list of ints.
+    previously built rows and must return row ``n`` as a list.
     Built rows are never mutated; extension is guarded by a lock so
     concurrent readers are safe (single-writer construction).
     """

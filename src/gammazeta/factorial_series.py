@@ -14,15 +14,37 @@ Gamma side, d = 2 with the even rows of b on the zeta side (the odd
 rows vanish). A :class:`Side` carries d and the cached kernel rows;
 row a of its triangle holds T[d*a, b] for b = 0..a.
 
-The "direct" path combines the kernel rows with falling factorials.
-The "recurrence" path never touches the triangle: it propagates the
-summands g[r,b] = T[r,b](s)_b/(r+b)! by
+The "direct" path combines the kernel rows with falling factorials,
+as A_a(s) = sum_b w[r,b] (s)_b/b! with the s-independent weights
+w[r,b] = T[r,b] b!/(r+b)!. The "recurrence" path never touches the
+triangle: it propagates the summands g[r,b] = T[r,b](s)_b/(r+b)! by
 
     g[r,b] = (r+b-d)/(r+b) g[r-d,b] + (s-b+1)/(r+b) g[r-d,b-1].
 
-For rational s = p/q both run over exact integers (scaled by a common
-denominator per term), sum each term by Horner's rule and round it
-once, to a correctly rounded float. For non-real s they run in complex
+At s = -1 the summands are (-1)**b w[r,b], so the weights obey the same
+recurrence, w[r,b] = ((r+b-d) w[r-d,b] + b w[r-d,b-1])/(r+b), and the
+fixed-point tier builds them without the triangle.
+
+For rational s = p/q each term A_a(s)/(s+r+1) comes out correctly
+rounded, from the first of three tiers that can vouch for it:
+
+1. Certified fixed point (non-integer s). Every value is an integer
+   scaled by 2**P; each step is a floor division, so only small-by-P-bit
+   products appear (and P-by-P-bit ones in the direct path's dot
+   product). A rigorous bound E_a on the error of every entry of row a
+   (:func:`_row_bounds`) gives an interval around the term; the term is
+   kept when both ends of the interval round to the same double. P is
+   chosen from the bound of the last row plus 53 bits and a guard.
+2. The same at 2P, then 4P, for the terms still open (Ziv's loop: Ziv,
+   ACM TOMS 17(3), 1991; Brent & Zimmermann, Modern Computer
+   Arithmetic, ch. 3-4).
+3. Exact integers (:func:`_exact_sums`): each term over a common
+   denominator, summed by Horner's rule and rounded once. Integer s
+   starts here, because A_a(s) can be exactly 0 there, which no
+   interval can certify.
+
+All three give the same bits, since each returns the correctly rounded
+value of the same rational. For non-real s both paths run in complex
 floating point.
 
 Domain checks and the prefactor stay with the callers, as does the
@@ -35,6 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, prod
+from operator import mul
 from numbers import Rational
 
 from .combinatorics import CachedTriangle
@@ -43,13 +66,24 @@ from .report import SeriesReport
 PATHS = ("direct", "recurrence")
 
 
+#: extra passes at doubled precision before the exact tier takes a term
+ZIV_DOUBLINGS = 2
+#: bits kept beyond the error bound and the 53 of a double
+GUARD_BITS = 64
+#: a fixed first precision in place of the one chosen from the bound;
+#: None outside tests that force the later tiers
+_START_PRECISION: int | None = None
+
+
 @dataclass(frozen=True)
 class Side:
-    """One expansion: row stride ``stride`` and kernel ``triangle``,
-    whose row a holds T[stride*a, b] for b = 0..a."""
+    """One expansion: row stride ``stride``, kernel ``triangle``, whose
+    row a holds T[stride*a, b] for b = 0..a, and the float ``weights``
+    T[r,b] b!/(r+b)! of the same rows."""
 
     stride: int
     triangle: CachedTriangle
+    weights: CachedTriangle
 
 
 def _next_row(prev: list[int], left: list[int], a: int, d: int) -> list[int]:
@@ -68,9 +102,12 @@ def _next_row(prev: list[int], left: list[int], a: int, d: int) -> list[int]:
 
 
 def kernel_side(stride: int) -> Side:
-    """A side whose kernel rows are built, and cached, by the recurrence."""
-    return Side(stride, CachedTriangle(
-        lambda rows, a: _next_row(rows[a - 1], rows[a - 1], a, stride) if a else [1]))
+    """A side whose kernel rows and float weights are built, and cached,
+    row by row."""
+    triangle = CachedTriangle(
+        lambda rows, a: _next_row(rows[a - 1], rows[a - 1], a, stride) if a else [1])
+    return Side(stride, triangle, CachedTriangle(
+        lambda rows, a: _float_weights(triangle.row(a), stride * a)))
 
 
 def as_fraction(s) -> Fraction | None:
@@ -129,17 +166,149 @@ def _exact_sums(side: Side, p: int, q: int, n: int, path: str):
         yield _numerator(row, r, q), q**a * factorial(r + a)
 
 
+def _row_bounds(d: int, p: int, q: int, n: int) -> list[int]:
+    """E[a] for a = 0..n-1: a bound on |G[b] - g[r,b] 2**P| over row a
+    of :func:`_fixed_rows`, whatever P is.
+
+    Proof. Row 0 is exact (E[0] = 0), and g[r,0] = 0 for r > 0 is exact
+    in every later row. Step a computes, for b = 1..a,
+
+        G'[b] = floor(alpha_b G[b] + beta_b G[b-1]),
+        alpha_b = (r+b-d)/(r+b),   beta_b = (s-b+1)/(r+b),
+
+    while the exact row obeys the same linear step without the floor.
+    The difference is alpha_b e[b] + beta_b e[b-1] plus the floor's own
+    error, which lies in (-1, 0]: less than 1, and 0 when the division is
+    exact, so the +1 below covers it either way. With |e| <= E[a-1] on
+    row a-1 (and e = 0 on the entry b = a that row a-1 lacks), every
+    entry of row a errs by less than
+    (|alpha_b| + |beta_b|) E[a-1] + 1 <= E[a], where
+
+        E[a] = ceil(max_b (|alpha_b| + |beta_b|) E[a-1]) + 1.
+
+    The maximum over b is at b = 1 or b = a. Write |alpha_b| + |beta_b|
+    = f(b)/(q(r+b)) with f(b) = (r+b-d)q + |p-(b-1)q|. While
+    (b-1)q <= p, f(b) = (r-d+1)q + p does not depend on b, so the ratio
+    falls as b grows. Beyond, the ratio is 2 - ((r+d+1)q + p)/(q(r+b)),
+    which rises, since (r+d+1)q + p > 0 for s > -1; at s = -1 (the
+    weights) this branch holds for every b >= 1.
+    """
+    bounds = [0]
+    for a in range(1, n):
+        r = d * a
+        n1, d1 = (r + 1 - d) * q + abs(p), (r + 1) * q
+        na, da = (r + a - d) * q + abs(p - (a - 1) * q), (r + a) * q
+        num, den = (n1, d1) if n1 * da >= na * d1 else (na, da)
+        bounds.append(-(-num * bounds[-1] // den) + 1)
+    return bounds
+
+
+def _fixed_rows(d: int, p: int, q: int, n: int, prec: int):
+    """Rows a = 1..n-1 of G[b] ~ g[r,b] 2**prec at s = p/q, each step of
+    the summand recurrence floored; :func:`_row_bounds` bounds the error."""
+    row = [1 << prec]
+    for a in range(1, n):
+        r = d * a
+        row = [0] + [(x * upper + y * left) // z for x, y, z, upper, left in zip(
+            range((r + 1 - d) * q, (r + a + 1 - d) * q, q),  # (r+b-d) q
+            range(p, p - a * q, -q),                          # (s-b+1) q
+            range((r + 1) * q, (r + a + 1) * q, q),           # (r+b) q
+            row[1:] + [0], row)]
+        yield row
+
+
+def _fixed_binomials(p: int, q: int, n: int, prec: int) -> tuple[list[int], list[int]]:
+    """B[b] ~ (-1)**b (s)_b/b! 2**prec at s = p/q for b = 0..n-1, each
+    step floored, and bounds[a] >= |B[b] - (-1)**b (s)_b/b! 2**prec| for
+    all b <= a (by the argument of :func:`_row_bounds` with one term)."""
+    binom, bounds = [1 << prec], [0]
+    err = 0
+    for b in range(1, n):
+        m = (b - 1) * q - p
+        binom.append(binom[-1] * m // (q * b))
+        err = -(-abs(m) * err // (q * b)) + 1
+        bounds.append(max(bounds[-1], err))
+    return binom, bounds
+
+
+def _round_interval(lo: int, hi: int, den: int) -> float | None:
+    """The double that every point of [lo/den, hi/den] rounds to, or None
+    (den > 0). The ends are compared by bit pattern, since -0.0 == 0.0.
+    An interval clear of 0 whose end nearest 0 is beyond the float range
+    raises the OverflowError that the exact tier would raise."""
+    try:
+        lo_float, hi_float = lo / den, hi / den
+    except OverflowError:
+        if lo > 0 or hi < 0:
+            (lo if lo > 0 else hi) / den
+        return None
+    return lo_float if lo_float.hex() == hi_float.hex() else None
+
+
+def _fixed_terms(side: Side, p: int, q: int, n: int, path: str, prec: int):
+    """A_a(p/q)/(s+r+1) for a = 1..n-1, each the correctly rounded
+    float, or None where the interval at precision ``prec`` does not
+    round to a single double."""
+    d = side.stride
+    if path == "direct":
+        # the weight rows are the summand rows at s = -1: (-1)**b w[r,b]
+        rows, bounds = _fixed_rows(d, -1, 1, n, prec), _row_bounds(d, -1, 1, n)
+        binom, binom_err = _fixed_binomials(p, q, n, prec)
+        binom_mass = list(accumulate(map(abs, binom)))  # sum_{b<=a} |B[b]|
+    else:
+        rows, bounds = _fixed_rows(d, p, q, n, prec), _row_bounds(d, p, q, n)
+    for a, row in enumerate(rows, 1):
+        if path == "direct":
+            # fixed-point weight W and binomial B with error bounds e_W, e_B:
+            # |W B - exact product| <= |W| e_B + |B| e_W + e_W e_B, summed over b
+            value, scale = sum(map(mul, row, binom)), 2 * prec
+            err = (binom_err[a] * sum(map(abs, row))
+                   + bounds[a] * (binom_mass[a] - binom_mass[0] + a * binom_err[a]))
+        else:
+            value, scale, err = sum(row), prec, a * bounds[a]
+        den = (p + (d * a + 1) * q) << scale
+        yield _round_interval((value - err) * q, (value + err) * q, den)
+
+
+def _start_precision(side: Side, p: int, q: int, n: int, path: str) -> int:
+    """The first precision of Ziv's loop: the bits of the last row's
+    bound on the sum of its n entries, 53 more for a double, a guard, and
+    the bits that |s| < 1 takes off every A_a(s), which has the factor s."""
+    if _START_PRECISION is not None:
+        return _START_PRECISION
+    small = max(0, q.bit_length() - abs(p).bit_length())
+    if path == "direct":
+        p, q = -1, 1  # the weight rows
+    bound = n * _row_bounds(side.stride, p, q, n)[-1]
+    return bound.bit_length() + 53 + GUARD_BITS + small
+
+
 def exact_terms(
     side: Side, s: Fraction, n_terms: int, path: str, pref=None
 ) -> list[complex]:
     """Terms 0..n_terms-1 of the expansion at rational s, each rounded
-    once; ``pref`` (a float, or None for no prefactor) scales each
+    once, by the first tier that certifies it (see the module
+    docstring); ``pref`` (a float, or None for no prefactor) scales each
     rounded term."""
     p, q = s.numerator, s.denominator
+    inner = [None] * n_terms  # inner[a] = A_a/(s+r+1), rounded, for a >= 1
+    todo = range(1, n_terms)
+    if q > 1:
+        prec = _start_precision(side, p, q, n_terms, path)
+        for _ in range(1 + ZIV_DOUBLINGS):
+            if not todo:
+                break
+            for a, t in enumerate(_fixed_terms(side, p, q, todo[-1] + 1, path, prec), 1):
+                if inner[a] is None:
+                    inner[a] = t
+            todo = [a for a in todo if inner[a] is None]
+            prec *= 2
+    if todo:
+        for a, (num, den) in enumerate(_exact_sums(side, p, q, todo[-1] + 1, path), 1):
+            if inner[a] is None:
+                inner[a] = (num * q) / (den * (p + (side.stride * a + 1) * q))
     terms = [q / (p + q) if pref is None else pref * q / (p + q)]
-    for a, (num, den) in enumerate(_exact_sums(side, p, q, n_terms, path), 1):
-        t = (num * q) / (den * (p + (side.stride * a + 1) * q))
-        terms.append(t if pref is None else pref * t)
+    terms += (t if pref is None else pref * t for t in inner[1:])
     return [complex(t) for t in terms]
 
 
@@ -151,21 +320,19 @@ def _binomials(s: complex, n: int) -> list[complex]:
     return binom
 
 
-def _float_weights(side: Side, a: int) -> list[float]:
+def _float_weights(row: list[int], r: int) -> list[float]:
     # T[r,b] * b!/(r+b)! as floats; folding b! into the exact factor keeps
     # both float factors in range ((s)_b alone overflows past b ~ 170)
-    row = side.triangle.row(a)
-    r = side.stride * a
-    out = [0.0] * (a + 1)
+    out = [0.0] * len(row)
     ratio = factorial(r)  # (r+b)!/b!, advanced by *(r+b)/b per step
-    for b in range(1, a + 1):
+    for b in range(1, len(row)):
         ratio = ratio * (r + b) // b
         out[b] = row[b] / ratio  # int/int true division is correctly rounded
     return out
 
 
 def _float_coeff(side: Side, binom: list[complex], a: int) -> complex:
-    w = _float_weights(side, a)
+    w = side.weights.row(a)
     inner = 0j
     for b in range(a, 0, -1):  # smallest summands first
         inner += binom[b] * w[b]
@@ -181,7 +348,7 @@ def float_terms(
     d = side.stride
     terms = [1 / (s + 1) if pref is None else pref / (s + 1)]
     if path == "direct":
-        side.triangle.ensure(n_terms - 1)
+        side.weights.ensure(n_terms - 1)
         binom = _binomials(s, n_terms)
     row = [1.0 + 0j]
     for a in range(1, n_terms):

@@ -22,12 +22,12 @@ the summands g[a,b] = (s)_b c[a,b]/(a+b)! directly via
 
     g[a,b] = (a+b-1)/(a+b) g[a-1,b] + (s-b+1)/(a+b) g[a-1,b-1].
 
-Arithmetic backends: for rational s both paths run over exact integers
-(scaled by a common denominator per term) and convert each term to a
-correctly rounded float at the very end. For non-real s they run in
-complex floating point, which is reliable only to moderate truncation
-depth; the inner sums cancel catastrophically beyond roughly 120 terms
-for non-integer s, which is why the exact backend exists.
+Arithmetic backends: for rational s both paths give each term as a
+correctly rounded float, from certified fixed point or, failing that,
+exact integers (see :mod:`gammazeta.factorial_series`). For non-real s
+they run in complex floating point, which is reliable only to moderate
+truncation depth; the inner sums cancel catastrophically beyond roughly
+120 terms for non-integer s, which is why the exact backend exists.
 """
 
 from __future__ import annotations

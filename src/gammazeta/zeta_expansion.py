@@ -30,9 +30,9 @@ z[m,k] = b[m,k](s)_k/(m+k)! directly via
 
     z[m,k] = (m+k-2)/(m+k) z[m-2,k] + (s-k+1)/(m+k) z[m-2,k-1].
 
-Backends mirror the Gamma evaluator: exact integers for rational s
-(terms converted to correctly rounded floats at the end), complex
-floating point otherwise. The comparison target is always the entire
+Backends mirror the Gamma evaluator: correctly rounded terms for
+rational s (certified fixed point, exact integers as the last resort),
+complex floating point otherwise. The comparison target is always the entire
 product eta(s)Gamma(s), never zeta alone, so s = 1 needs no special
 casing.
 """

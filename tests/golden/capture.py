@@ -17,6 +17,8 @@ that has the current API.
   to find the term.
 - ``terms_deep.json``: the same digests at the depths the exact
   benchmark reaches (N up to 450), for one exact rational per side.
+- ``terms_800.json``: the same digests at N=800, gamma s=3/2 and zeta
+  s=3/4.
 - ``coeffs.json``: ``integrand_coeffs`` and ``log_ratio_coeffs`` to
   order 30, exact Fractions as strings, complex floats as ``float.hex``.
 - ``cli.json``: the stdout of a set of CLI commands, byte for byte.
@@ -130,13 +132,28 @@ DEEP_CASES = [
 ]
 
 
-def collect_deep_terms() -> dict:
+# 800 terms: the depth the CI deep-row step runs
+CASES_800 = [
+    ("gamma", "3/2", Fraction(3, 2), 800),
+    ("zeta", "3/4", Fraction(3, 4), 800),
+]
+
+
+def _case_digests(cases) -> dict:
     out = {}
-    for side, label, s, n in DEEP_CASES:
+    for side, label, s, n in cases:
         for path in PATHS:
             digest = hashlib.sha256(term_lines(side, path, s, n).encode())
             out[f"{side}|{path}|{label}|{n}"] = digest.hexdigest()
     return out
+
+
+def collect_deep_terms() -> dict:
+    return _case_digests(DEEP_CASES)
+
+
+def collect_terms_800() -> dict:
+    return _case_digests(CASES_800)
 
 
 def _coeff_text(c) -> str:
@@ -326,6 +343,7 @@ def collect_polynomials() -> dict:
 COLLECTORS = {
     "terms.json": collect_terms,
     "terms_deep.json": collect_deep_terms,
+    "terms_800.json": collect_terms_800,
     "coeffs.json": collect_coeffs,
     "cli.json": collect_cli,
     "quadrature.json": collect_quadrature,

@@ -3,7 +3,11 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -270,10 +274,63 @@ class TestIntegralCheck:
 @pytest.mark.parametrize(
     "argv",
     [
+        ["eval", "gamma", "--s", "1.5", "--terms", str(cli.MAX_TERMS + 1)],
+        ["eval", "zeta", "--s", "0.75,1", "--terms", "100000"],
+        ["converge", "gamma", "--s", "0.5", "--max-terms", str(cli.MAX_TERMS + 1)],
+        ["converge", "zeta", "--s", "2", "--max-terms", "100000", "--stride", "50000"],
+    ],
+)
+def test_terms_above_the_cap_are_a_usage_error(argv, capsys):
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_terms_at_the_cap_are_accepted():
+    # s = 1: every summand past b = 1 vanishes, so the cap costs little here
+    code, out = run_cli(["eval", "gamma", "--s", "1", "--terms", str(cli.MAX_TERMS),
+                         "--path", "recurrence"])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["payload"]["terms"] == cli.MAX_TERMS
+    code, _ = run_cli(["converge", "zeta", "--s", "1", "--max-terms", str(cli.MAX_TERMS),
+                       "--stride", "500", "--path", "recurrence"])
+    assert code == cli.EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "zeta", "--s", "1,60", "--terms", "40"],
+        ["converge", "gamma", "--s", "1.5", "--max-terms", "60", "--format", "csv"],
+    ],
+)
+def test_stdout_closed_early_exits_quietly(argv):
+    # the read end closes before the command writes, as when `head` has
+    # already exited: no traceback, the documented exit status
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "gammazeta", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_PIPE
+    assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["eval", "gamma", "--s", "200", "--terms", "20"],
         ["eval", "zeta", "--s", "200", "--terms", "5"],
         ["eval", "zeta", "--s", "2000", "--terms", "5"],
         ["eval", "gamma", "--s", "1e400", "--terms", "3"],
+        # non-integer: the certified tier stops at the first term beyond the range
+        ["eval", "gamma", "--s", "100000000000000000000.5", "--terms", "1000"],
+        ["converge", "gamma", "--s", "100000000000000000000.5", "--max-terms", "1000",
+         "--path", "recurrence"],
         ["integral-check", "--s", "200", "--n", "1"],
     ],
 )

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,3 +48,136 @@ def test_horner_numerator_is_the_defining_sum(data, a, stride, q):
     expected = sum(row[b] * q ** (a - b) * (factorial(r + a) // factorial(r + b))
                    for b in range(1, a + 1))
     assert fs._numerator(row, r, q) == expected
+
+
+def _exact_reference(side, s, n_terms, path, pref=None):
+    # every term from the exact tier alone, rounded as exact_terms rounds it
+    p, q = s.numerator, s.denominator
+    terms = [q / (p + q) if pref is None else pref * q / (p + q)]
+    for a, (num, den) in enumerate(fs._exact_sums(side, p, q, n_terms, path), 1):
+        t = (num * q) / (den * (p + (side.stride * a + 1) * q))
+        terms.append(t if pref is None else pref * t)
+    return [complex(t) for t in terms]
+
+
+# s for each side: small rationals (negative ones on the Gamma side),
+# binary floats at their exact value, and rationals with large terms
+_SIDE_S = {
+    "gamma": st.one_of(_rationals(-1), st.floats(-0.999, 60.0).map(Fraction),
+                       st.sampled_from([Fraction(0.3), Fraction(1e-3), Fraction(-0.3)])),
+    "zeta": st.one_of(_rationals(0), st.floats(1e-3, 60.0).map(Fraction),
+                      st.sampled_from([Fraction(0.3), Fraction(0.75), Fraction(1e-3)])),
+}
+
+
+@pytest.mark.parametrize("side_name", ["gamma", "zeta"])
+@pytest.mark.parametrize("path", fs.PATHS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n_terms=st.integers(1, 120))
+def test_certified_terms_are_the_exact_terms(side_name, path, data, n_terms):
+    s = data.draw(_SIDE_S[side_name])
+    module = ge if side_name == "gamma" else ze
+    pref = None if side_name == "gamma" else 2 ** (float(s) - 1) / float(s)
+    expected = _exact_reference(module.SIDE, s, n_terms, path, pref)
+    assert _bits(module.expansion_terms(s, n_terms, path)) == _bits(expected)
+
+
+def test_low_start_precision_doubles_then_falls_back(monkeypatch):
+    # at 16 bits no term certifies; doubling certifies the early terms,
+    # whose bound is small, and the exact tier finishes the rest
+    precisions, certified, exact_rows = [], [], []
+    fixed_terms, exact_sums = fs._fixed_terms, fs._exact_sums
+
+    def spy_fixed(side, p, q, n, path, prec):
+        got = list(fixed_terms(side, p, q, n, path, prec))
+        precisions.append(prec)
+        certified.append(sum(t is not None for t in got))
+        return iter(got)
+
+    def spy_exact(side, p, q, n, path):
+        exact_rows.append(n - 1)
+        return exact_sums(side, p, q, n, path)
+
+    monkeypatch.setattr(fs, "_START_PRECISION", 16)
+    monkeypatch.setattr(fs, "_fixed_terms", spy_fixed)
+    monkeypatch.setattr(fs, "_exact_sums", spy_exact)
+    for module, s, pref in ((ge, Fraction(3, 2), None),
+                            (ze, Fraction(3, 4), 2 ** -0.25 / 0.75)):
+        for path in fs.PATHS:
+            precisions.clear(), certified.clear(), exact_rows.clear()
+            terms = module.expansion_terms(s, 100, path)
+            assert precisions == [16, 32, 64]
+            assert certified[0] == 0 and certified[-1] > 0
+            assert sum(certified) < 99 and exact_rows, "the exact tier never ran"
+            monkeypatch.setattr(fs, "_exact_sums", exact_sums)
+            assert _bits(terms) == _bits(_exact_reference(module.SIDE, s, 100, path, pref))
+            monkeypatch.setattr(fs, "_exact_sums", spy_exact)
+
+
+def test_integer_s_takes_the_exact_tier_alone(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the fixed-point tier ran for integer s")
+
+    monkeypatch.setattr(fs, "_fixed_terms", fail)
+    for path in fs.PATHS:
+        assert ge.expansion_terms(Fraction(0), 40, path)[1:] == [0j] * 39
+        ze.expansion_terms(Fraction(3), 40, path)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_weight_recurrence_gives_the_kernel_weights(stride):
+    # w[r,b] = ((r+b-d) w[r-d,b] + b w[r-d,b-1])/(r+b) reproduces
+    # T[r,b] b!/(r+b)! from the exact triangle
+    side = fs.kernel_side(stride)
+    row = [Fraction(1)]
+    for a in range(1, 31):
+        r = stride * a
+        prev = row + [Fraction(0)]
+        row = [Fraction(0)] + [((r + b - stride) * prev[b] + b * prev[b - 1]) / (r + b)
+                               for b in range(1, a + 1)]
+        kernel = side.triangle.row(a)
+        assert row == [Fraction(kernel[b] * factorial(b), factorial(r + b))
+                       for b in range(a + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), stride=st.sampled_from((1, 2)), prec=st.integers(1, 80),
+       n=st.integers(2, 40))
+def test_fixed_rows_stay_within_their_bound(data, stride, prec, n):
+    # s = -1 is the direct path's weight rows
+    s = data.draw(st.one_of(_rationals(-1), st.just(Fraction(-1))))
+    p, q = s.numerator, s.denominator
+    bounds = fs._row_bounds(stride, p, q, n)
+    exact = [1]  # M[a,b] = q**b (r+b)! g[r,b], the integer form of the rows
+    for a, row in enumerate(fs._fixed_rows(stride, p, q, n, prec), 1):
+        r = stride * a
+        exact = fs._next_row(exact, [(p - j * q) * m for j, m in enumerate(exact)], a, stride)
+        for b in range(1, a + 1):
+            g = Fraction(exact[b], q**b * factorial(r + b))
+            assert abs(row[b] - g * 2**prec) <= bounds[a]
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=_rationals(-1), prec=st.integers(1, 80), n=st.integers(2, 60))
+def test_fixed_binomials_stay_within_their_bound(s, prec, n):
+    binom, bounds = fs._fixed_binomials(s.numerator, s.denominator, n, prec)
+    exact = Fraction(1)  # (-1)**b (s)_b/b!
+    for b in range(1, n):
+        exact *= (b - 1 - s) / b
+        assert abs(binom[b] - exact * 2**prec) <= bounds[b]
+
+
+def test_interval_rounding_compares_bit_patterns():
+    tiny = 2**1100  # 1/tiny is far below the smallest subnormal
+    assert fs._round_interval(1, 2, tiny).hex() == (0.0).hex()
+    assert fs._round_interval(-2, -1, tiny).hex() == (-0.0).hex()
+    assert fs._round_interval(-1, 1, tiny) is None  # -0.0 == 0.0, but not the same bits
+    assert fs._round_interval(1, 3, 10) is None
+    # part of the interval beyond the float range: the exact tier decides
+    assert fs._round_interval(10**308, 10**400, 1) is None
+    assert fs._round_interval(-(10**400), 10**400, 1) is None
+    # all of it beyond the range: the term is, too
+    with pytest.raises(OverflowError):
+        fs._round_interval(10**400, 10**401, 1)
+    with pytest.raises(OverflowError):
+        fs._round_interval(-(10**401), -(10**400), 1)
