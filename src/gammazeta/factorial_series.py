@@ -70,9 +70,6 @@ PATHS = ("direct", "recurrence")
 ZIV_DOUBLINGS = 2
 #: bits kept beyond the error bound and the 53 of a double
 GUARD_BITS = 64
-#: a fixed first precision in place of the one chosen from the bound;
-#: None outside tests that force the later tiers
-_START_PRECISION: int | None = None
 
 
 @dataclass(frozen=True)
@@ -274,8 +271,6 @@ def _start_precision(side: Side, p: int, q: int, n: int, path: str) -> int:
     """The first precision of Ziv's loop: the bits of the last row's
     bound on the sum of its n entries, 53 more for a double, a guard, and
     the bits that |s| < 1 takes off every A_a(s), which has the factor s."""
-    if _START_PRECISION is not None:
-        return _START_PRECISION
     small = max(0, q.bit_length() - abs(p).bit_length())
     if path == "direct":
         p, q = -1, 1  # the weight rows

@@ -98,7 +98,7 @@ def test_low_start_precision_doubles_then_falls_back(monkeypatch):
         exact_rows.append(n - 1)
         return exact_sums(side, p, q, n, path)
 
-    monkeypatch.setattr(fs, "_START_PRECISION", 16)
+    monkeypatch.setattr(fs, "_start_precision", lambda *args: 16)
     monkeypatch.setattr(fs, "_fixed_terms", spy_fixed)
     monkeypatch.setattr(fs, "_exact_sums", spy_exact)
     for module, s, pref in ((ge, Fraction(3, 2), None),
