@@ -4,7 +4,8 @@ convergence studies, integral checks, and the verification suites.
 Exit codes are a stable contract:
     0    success
     1    verification failure
-    2    usage error (including --terms or --max-terms above MAX_TERMS)
+    2    usage error (including --terms or --max-terms above MAX_TERMS,
+         and verify --depth above MAX_DEPTH)
     3    numeric-domain error (poles, out-of-domain arguments)
     4    quadrature budget exceeded
     141  the reader of stdout closed it early, as in ``| head``; nothing
@@ -43,6 +44,9 @@ DEFAULT_TABLE_CAP = 64
 # path caches the exact kernel triangle, ~0.8 GiB for zeta at 1000 terms
 # and growing like N**3.2
 MAX_TERMS = 1000
+# cap on verify --depth: several checks loop to the full depth, and the
+# work grows faster than depth**4 (verify all: 3.2 s at 128, 30 s at 256)
+MAX_DEPTH = 128
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -232,6 +236,8 @@ def cmd_converge(args, out) -> int:
 def cmd_verify(args, out) -> int:
     if args.depth < 0:
         raise UsageError("--depth must be nonnegative")
+    if args.depth > MAX_DEPTH:
+        raise UsageError(f"--depth {args.depth} exceeds the cap {MAX_DEPTH}")
     results = verify_mod.run_suite(args.suite, args.depth, seed=args.seed)
     if args.format == "json":
         payload = {

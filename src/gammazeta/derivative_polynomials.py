@@ -16,13 +16,14 @@ Stirling-number closed form
 Q_n is divisible by x(x-1); the quotient P_{n-2} (deg n-2) is what the
 zeta-side integral identities integrate against. For n >= 1, P_n has n
 simple real roots in (0,1), located here at any degree by dyadic
-bisection with Descartes' rule of signs (no floating point anywhere).
+bisection: Descartes' rule of signs isolates them, the sign of P_n
+narrows each isolated cell (no floating point anywhere).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from math import factorial, prod
 
 from .combinatorics import eulerian, stirling2
@@ -107,42 +108,72 @@ def _taylor_shift(coeffs: list) -> list:
     return shifted
 
 
+def _scaled_value(coeffs, c: int, k: int):
+    """2**(k m) p(c/2**k) for p of degree m, by Horner's rule on integers."""
+    acc, scale = 0, 1
+    for a in reversed(coeffs):
+        acc = acc * c + a * scale
+        scale <<= k
+    return acc
+
+
+def _refine(
+    coeffs, k: int, c: int, left_sign: bool, level: int
+) -> tuple[Fraction, Fraction]:
+    """Bracket the one simple root of p in the cell [c/2**k, (c+1)/2**k]
+    by halving the cell down to the given level; left_sign is whether
+    p > 0 just right of the cell's left end."""
+    while k < level:
+        k, c = k + 1, 2 * c + 1
+        value = _scaled_value(coeffs, c, k)
+        if not value:
+            return Fraction(c, 1 << k), Fraction(c, 1 << k)
+        if (value > 0) != left_sign:
+            c -= 1  # the sign changes in the left half
+    return Fraction(c, 1 << k), Fraction(c + 1, 1 << k)
+
+
 def roots_in_unit_interval(p: Polynomial) -> list[tuple[Fraction, Fraction]]:
     """Bracket every root of p in (0,1) to width <= 1e-12, exactly, in
     increasing order.
 
-    Dyadic bisection tested by Descartes' rule of signs (Collins &
-    Akritas 1976). The cell [c/2**k, (c+1)/2**k] carries the integer
-    polynomial q(x) = 2**(k m) p((c+x)/2**k); its left half is q(x/2)
-    scaled by 2**m, its right half that shifted by 1. A cell is dropped
-    when the rule admits no root and halved while it admits some and is
-    wider than 1e-12. A narrower cell is a bracket if the rule admits
-    exactly one root; a root cluster or multiple root yields none. A
-    zero constant term marks a dyadic root: a zero-width bracket,
-    divided out. Raises DefectError if fewer brackets than deg(p) appear.
+    Descartes isolation, sign-bisection refinement (Collins & Akritas
+    1976). The cell [c/2**k, (c+1)/2**k] carries the integer polynomial
+    q(x) = 2**(k m) p((c+x)/2**k); its left half is q(x/2) scaled by
+    2**m, its right half that shifted by 1. The rule of signs bounds the
+    roots in a cell. A cell where it admits none is dropped; one where
+    it admits two or more is halved while wider than 1e-12, and then
+    yields no bracket (a root cluster or a multiple root). A cell where
+    it admits exactly one holds one simple root, and the sign of p at
+    each midpoint halves it down to width 1e-12: the counts of two
+    halves add up to at most the cell's, so this keeps the half the
+    rule would. A dyadic root gives a zero-width bracket: a zero
+    constant term, divided out, or a zero midpoint value. Raises
+    DefectError if fewer brackets than deg(p) appear.
     """
     if not p:
         raise ValueError("the zero polynomial vanishes on all of (0,1)")
+    # cells at this level are no wider than BRACKET_WIDTH
+    level = next(k for k in count() if Fraction(1, 1 << k) <= BRACKET_WIDTH)
     brackets: list[tuple[Fraction, Fraction]] = []
     cells = [(0, 0, list(p.coeffs))]  # (k, c, q), the leftmost cell last
     while cells:
         k, c, q = cells.pop()
-        lo, width = Fraction(c, 1 << k), Fraction(1, 1 << k)
         if not q[0]:
             if c:  # a root at 0 is outside (0,1)
-                brackets.append((lo, lo))
+                brackets.append((Fraction(c, 1 << k),) * 2)
             q = q[next(i for i, a in enumerate(q) if a):]
         # sign variations of (x+1)**m q(1/(x+1)) bound the roots in the
         # cell, with the same parity, and equal them when all are real
         signs = [a > 0 for a in _taylor_shift(q[::-1]) if a]
         roots = sum(a != b for a, b in zip(signs, signs[1:]))
-        if width > BRACKET_WIDTH and roots:
+        if roots == 1:
+            brackets.append(_refine(p.coeffs, k, c, q[0] > 0, level))
+        elif roots and k < level:
             m = len(q) - 1
             left = [a * (1 << (m - i)) for i, a in enumerate(q)]
             cells.append((k + 1, 2 * c + 1, _taylor_shift(left)))
             cells.append((k + 1, 2 * c, left))
-        elif roots == 1:
-            brackets.append((lo, lo + width))
     if len(brackets) < p.degree:
         raise DefectError(
             f"found {len(brackets)} roots in (0,1), expected {p.degree}"

@@ -30,10 +30,12 @@ that has the current API.
   for every family to ``--max 64`` in csv and json.
 - ``polynomials.json``: the Riccati derivative polynomials, ``Q_n`` and
   ``P_n``, every coefficient by value as the strings of the real and
-  imaginary ``Fraction`` parts; the root brackets of ``P_1..P_19`` and
-  the interlacing verdicts; ``series_pow`` of two exact bases (complex
-  powers as ``float.hex``); and the ``float.hex`` of ``eta_ref`` on the
-  critical line up to Im s = 150.
+  imaginary ``Fraction`` parts; the root brackets of ``P_1..P_30`` and
+  of the edge polynomials ``ROOT_EDGE_CASES`` (or the text of the
+  ``DefectError`` they raise) and the interlacing verdicts;
+  ``series_pow`` of two exact bases (complex powers as ``float.hex``);
+  and the ``float.hex`` of ``eta_ref`` on the critical line up to
+  Im s = 150.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from pathlib import Path
 
 from gammazeta import (
     GaussianRational,
+    Polynomial,
     TruncatedSeries,
     cli,
     derivative_polynomials,
@@ -58,7 +61,7 @@ from gammazeta import (
     series_pow,
     zeta_expansion,
 )
-from gammazeta.report import DomainError
+from gammazeta.report import DefectError, DomainError
 
 HERE = Path(__file__).resolve().parent
 
@@ -299,6 +302,45 @@ POW_EXPONENTS = {"-1": -1, "0": 0, "2": 2, "1/3": Fraction(1, 3), "5/2": Fractio
                  "0.5+0.25j": 0.5 + 0.25j}
 
 
+# linear factors (b, a) of b x + a, whose roots in (0,1) sit where
+# bisection is delicate: dyadic roots at the isolation and refinement
+# levels and below the last one, roots at or near the ends of (0,1),
+# pairs 2**-39, 2**-40 and 2**-41 apart (the last one inside one
+# bracket-width cell), multiple roots, Fraction coefficients and a
+# negative leading coefficient
+ROOT_EDGE_CASES = {
+    "(2x-1)(4x-1)(8x-5)": ((2, -1), (4, -1), (8, -5)),
+    "x(x-1)(3x-1)": ((1, 0), (1, -1), (3, -1)),
+    "(2^40x-1)(2^40x-3)(2^39x-2^38-1)":
+        ((2**40, -1), (2**40, -3), (2**39, -(2**38) - 1)),
+    "(2^41x-1)(2^45x-2^45+3)": ((2**41, -1), (2**45, -(2**45) + 3)),
+    "(3x-1)(3*2^39x-2^39-3)": ((3, -1), (3 * 2**39, -(2**39) - 3)),
+    "(3x-1)(3*2^40x-2^40-3)": ((3, -1), (3 * 2**40, -(2**40) - 3)),
+    "(3x-1)(3*2^41x-2^41-3)": ((3, -1), (3 * 2**41, -(2**41) - 3)),
+    "(10^13x-1)(10^13x-10^13+1)": ((10**13, -1), (10**13, -(10**13) + 1)),
+    "(3x-1)^2(5x-4)": ((3, -1), (3, -1), (5, -4)),
+    "(3x-1)^3": ((3, -1), (3, -1), (3, -1)),
+    "-(x-3/16)(x-3/4)(x-2/7)":
+        ((-1, Fraction(3, 16)), (1, Fraction(-3, 4)), (1, Fraction(-2, 7))),
+}
+
+
+def _factors(factors) -> Polynomial:
+    """The product of the linear factors (b x + a), given as (b, a)."""
+    out = Polynomial.one()
+    for b, a in factors:
+        out = out * Polynomial((a, b))
+    return out
+
+
+def _brackets_or_error(p) -> list | dict:
+    try:
+        brackets = derivative_polynomials.roots_in_unit_interval(p)
+    except DefectError as exc:
+        return {"DefectError": str(exc)}
+    return [[str(lo), str(hi)] for lo, hi in brackets]
+
+
 def _exact_text(c) -> str:
     """Value of an exact coefficient as ``re,im`` Fraction strings, so an
     int 0 and ``GaussianRational(0, 0)`` record the same."""
@@ -322,9 +364,10 @@ def collect_polynomials() -> dict:
         out[f"derivative_polynomial|{n}"] = _poly_text(dp.derivative_polynomial(n))
     for n in range(16):
         out[f"reduced_polynomial|{n}"] = _poly_text(dp.reduced_polynomial(n))
-    for n in range(1, 20):
-        brackets = dp.roots_in_unit_interval(dp.reduced_polynomial(n))
-        out[f"roots_in_unit_interval|{n}"] = [[str(lo), str(hi)] for lo, hi in brackets]
+    for n in range(1, 31):
+        out[f"roots_in_unit_interval|{n}"] = _brackets_or_error(dp.reduced_polynomial(n))
+    for label, factors in ROOT_EDGE_CASES.items():
+        out[f"roots_in_unit_interval|{label}"] = _brackets_or_error(_factors(factors))
     for n in range(14):
         out[f"interlacing_check|{n}"] = dp.interlacing_check(n)
     for base_label, coeffs in POW_BASES.items():

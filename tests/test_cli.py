@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammazeta import cli
 from gammazeta import verify as verify_mod
@@ -229,6 +231,18 @@ class TestVerify:
         assert code == cli.EXIT_USAGE
         assert out == ""
 
+    @pytest.mark.parametrize("depth", [cli.MAX_DEPTH + 1, 100000])
+    def test_depth_above_the_cap_is_usage_error(self, depth, capsys):
+        code, out = run_cli(["verify", "all", "--depth", str(depth)])
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "exceeds the cap" in capsys.readouterr().err
+
+    def test_depth_at_the_cap_is_accepted(self):
+        # the bell checks stop at depth 10 whatever --depth says
+        code, _ = run_cli(["verify", "bell", "--depth", str(cli.MAX_DEPTH)])
+        assert code == cli.EXIT_OK
+
     def test_seed_changes_are_accepted(self):
         code, _ = run_cli(["verify", "oracle", "--depth", "4", "--seed", "7"])
         assert code == 0
@@ -377,3 +391,74 @@ def test_eta_oracle_order_cap_is_a_domain_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric-domain error: eta oracle")
     assert err.count("\n") == 1
+
+
+# argv fuzz: every subcommand and flag, values small enough to run in
+# milliseconds (bad ones among them), and in half the cases one token
+# replaced by junk or junk inserted
+_JUNK = st.sampled_from(["", "-", "--", "--bogus", "x", "1/2", "nan", "inf", "1e400",
+                         "0x10", "1,2,3", ",", " 1 ", "--help", "-1"])
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+_DECIMALS = st.decimals(-3, 40, places=2, allow_nan=False, allow_infinity=False)
+_S = st.one_of(
+    st.sampled_from(["0", "1", "-1", "-2", "0.5", "1,60", "-1,0", "0,1", "1e-300",
+                     "100000000000000000000.5", "1/2", "abc", "1,2,3", ""]),
+    _DECIMALS.map(str),
+    st.tuples(_DECIMALS, _DECIMALS).map(lambda z: f"{z[0]},{z[1]}"),
+)
+_PATHS = st.sampled_from(("direct", "recurrence"))
+# subcommand -> (positional choices or None, {flag: values}, required flags)
+_SURFACE = {
+    "tables": (cli.TABLE_FAMILIES,
+               {"--max": _ints(-2, 16), "--cap": _ints(-2, 70),
+                "--format": st.sampled_from(("csv", "json"))},
+               ("--max",)),
+    "eval": (("gamma", "zeta"),
+             {"--s": _S, "--terms": _ints(-2, 60), "--path": _PATHS},
+             ("--s", "--terms")),
+    "converge": (("gamma", "zeta"),
+                 {"--s": _S, "--max-terms": _ints(-2, 60), "--stride": _ints(-2, 70),
+                  "--path": _PATHS, "--format": st.sampled_from(("csv", "json"))},
+                 ("--s", "--max-terms")),
+    "verify": (("all",) + tuple(verify_mod.suite_names()),
+               {"--depth": _ints(-2, 4), "--seed": st.integers().map(str),
+                "--format": st.sampled_from(("text", "json"))},
+               ()),
+    "integral-check": (None,
+                       {"--s": _S, "--n": _ints(-2, 13),
+                        "--tol": st.sampled_from(("1e-12", "1e-6", "0", "-1", "nan",
+                                                  "inf", "1e-300")),
+                        "--budget": _ints(-2, 200)},
+                       ("--s", "--n")),
+}
+
+
+@st.composite
+def _argvs(draw):
+    sub = draw(st.sampled_from(sorted(_SURFACE)))
+    positional, flags, required = _SURFACE[sub]
+    argv = [sub] + ([draw(st.sampled_from(positional))] if positional else [])
+    chosen = [f for f in sorted(flags) if f in required or draw(st.booleans())]
+    for flag in draw(st.permutations(chosen)):
+        argv += [flag, draw(flags[flag])]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(argv)))
+        argv[i:i + draw(st.integers(0, 1))] = [draw(_JUNK)]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_argvs())
+def test_any_argv_ends_in_a_documented_exit_code(argv):
+    try:
+        code, _ = run_cli(argv)
+    except SystemExit as exc:  # argparse: --help, or a malformed command line
+        assert exc.code in (0, 2)
+    else:
+        assert code in (cli.EXIT_OK, cli.EXIT_VERIFY_FAILED, cli.EXIT_USAGE,
+                        cli.EXIT_DOMAIN, cli.EXIT_BUDGET)

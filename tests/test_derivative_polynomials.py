@@ -1,8 +1,11 @@
 """Derivative polynomials: closed forms, Riccati chain, roots, interlacing."""
 
 from fractions import Fraction
+from math import floor
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gammazeta import (
     DefectError,
@@ -133,6 +136,31 @@ class TestRoots:
         mids = [(lo + hi) / 2 for lo, hi in roots]
         for left, right in zip(mids, reversed(mids)):
             assert abs(float(left + right) - 1.0) < 1e-11
+
+
+# roots in (0,1): a random numerator over a random denominator, or over 2**k
+_RANDOM_ROOT = st.integers(2, 10**15).flatmap(
+    lambda b: st.integers(1, b - 1).map(lambda a: Fraction(a, b)))
+_DYADIC_ROOT = st.integers(1, 45).flatmap(
+    lambda k: st.integers(1, 2**k - 1).map(lambda c: Fraction(c, 2**k)))
+_CELL = Fraction(1, 2**40)  # the bracket width: 2**-40 <= 1e-12 < 2**-39
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(_RANDOM_ROOT, _DYADIC_ROOT), min_size=1, max_size=6))
+def test_products_of_linear_factors_get_one_bracket_per_root(roots):
+    # each root, known in advance, must land in the level-40 dyadic cell
+    # that holds it, or be returned exactly when it is such a cell's end
+    roots = sorted(roots)
+    assume(all(b - a > 2 * _CELL for a, b in zip(roots, roots[1:])))
+    p = Polynomial.one()
+    for r in roots:
+        p = p * Polynomial((-r.numerator, r.denominator))
+    expected = []
+    for r in roots:
+        lo = floor(r / _CELL) * _CELL
+        expected.append((r, r) if lo == r else (lo, lo + _CELL))
+    assert roots_in_unit_interval(p) == expected
 
 
 class TestInterlacing:
