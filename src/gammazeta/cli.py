@@ -5,7 +5,8 @@ Exit codes are a stable contract:
     0    success
     1    verification failure
     2    usage error (including --terms or --max-terms above MAX_TERMS,
-         and verify --depth above MAX_DEPTH)
+         verify --depth above MAX_DEPTH, and an --s component whose
+         digit count plus |exponent| is above MAX_S_DIGITS)
     3    numeric-domain error (poles, out-of-domain arguments)
     4    quadrature budget exceeded
     141  the reader of stdout closed it early, as in ``| head``; nothing
@@ -44,6 +45,10 @@ DEFAULT_TABLE_CAP = 64
 # path caches the exact kernel triangle, ~0.8 GiB for zeta at 1000 terms
 # and growing like N**3.2
 MAX_TERMS = 1000
+# cap on the digit count plus |exponent| of each --s component: Fraction
+# builds 10**|exponent| exactly, and the exact backend's work grows with
+# the size of s (eval gamma --s 1e-999 --terms 1000 --path recurrence: 3.9 s)
+MAX_S_DIGITS = 1000
 # cap on verify --depth: several checks loop to the full depth, and the
 # work grows faster than depth**4 (verify all: 3.2 s at 128, 30 s at 256)
 MAX_DEPTH = 128
@@ -65,6 +70,14 @@ def _parse_decimal(text: str) -> Fraction:
     # flag contract does not admit
     if "/" in text:
         raise ValueError("not a decimal literal")
+    mantissa, _, exponent = text.lower().partition("e")
+    try:
+        size = sum(c.isdigit() for c in mantissa) + abs(int(exponent or 0))
+    except ValueError:  # not a literal; Fraction says why
+        size = 0
+    if size > MAX_S_DIGITS:
+        raise UsageError(f"a component of --s has {size} digits plus |exponent|, "
+                         f"above the cap {MAX_S_DIGITS}")
     return Fraction(text)
 
 

@@ -53,12 +53,12 @@ choice between the exact and the float backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, prod
 from operator import mul
 from numbers import Rational
+from typing import NamedTuple
 
 from .combinatorics import CachedTriangle
 from .report import SeriesReport
@@ -72,8 +72,7 @@ ZIV_DOUBLINGS = 2
 GUARD_BITS = 64
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(NamedTuple):
     """One expansion: row stride ``stride``, kernel ``triangle``, whose
     row a holds T[stride*a, b] for b = 0..a, and the float ``weights``
     T[r,b] b!/(r+b)! of the same rows."""
@@ -345,18 +344,18 @@ def float_terms(
     if path == "direct":
         side.weights.ensure(n_terms - 1)
         binom = _binomials(s, n_terms)
+    else:
+        shift = [s - b + 1 for b in range(1, n_terms)]
     row = [1.0 + 0j]
     for a in range(1, n_terms):
         r = d * a
         if path == "direct":
             inner = _float_coeff(side, binom, a)
         else:
-            prev, row = row, [0j] * (a + 1)
-            for b in range(1, a + 1):
-                upper = prev[b] if b < len(prev) else 0j
-                row[b] = ((r + b - d) / (r + b) * upper
-                          + (s - b + 1) / (r + b) * prev[b - 1])
-            inner = sum(row[b] for b in range(a, 0, -1))
+            row = [0j] + [x / z * upper + y / z * left for x, y, z, upper, left in zip(
+                range(r + 1 - d, r + a + 1 - d), shift,  # r+b-d, s-b+1
+                range(r + 1, r + a + 1), row[1:] + [0j], row)]  # r+b, upper, left
+            inner = sum(row[:0:-1])  # smallest summands first
         den = s + r + 1
         terms.append(inner / den if pref is None else pref * inner / den)
     return terms
@@ -382,13 +381,7 @@ def running_sums(terms: list[complex]) -> list[complex]:
 def series_report(s, path: str, terms: list[complex], reference: complex) -> SeriesReport:
     partial_sum = sum(terms)
     abs_error = abs(partial_sum - reference)
-    return SeriesReport(
-        s=complex(s),
-        terms=len(terms),
-        path=path,
-        partial_sum=partial_sum,
-        reference=reference,
-        abs_error=abs_error,
-        rel_error=abs_error / abs(reference) if reference else float("inf"),
-        term_magnitudes=[abs(t) for t in terms],
-    )
+    rel_error = abs_error / abs(reference) if reference else float("inf")
+    # positional, in field order: from keywords the record costs ~0.2 us more
+    return SeriesReport(complex(s), len(terms), path, partial_sum, reference,
+                        abs_error, rel_error, [abs(t) for t in terms])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .combinatorics import rising_factorial
 from .derivative_polynomials import derivative_polynomial, reduced_polynomial
@@ -116,8 +116,7 @@ def zeta_ref(s) -> complex:
     return eta_ref(s) / denom
 
 
-@dataclass
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: complex
     error_estimate: float
     evaluations: int
@@ -301,8 +300,7 @@ def integrated_by_parts_form(s, n: int) -> QuadratureResult:
                             res.evaluations, res.converged)
 
 
-@dataclass
-class IdentityCheckReport:
+class IdentityCheckReport(NamedTuple):
     s: complex
     n: int
     lhs: complex

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class DomainError(ValueError):
@@ -22,8 +22,7 @@ class DefectError(RuntimeError):
     failed; indicates a defect, not a caller mistake."""
 
 
-@dataclass
-class SeriesReport:
+class SeriesReport(NamedTuple):
     """Outcome of evaluating a truncated expansion at one argument.
 
     ``partial_sum`` is the truncated value, ``term_magnitudes[i]`` the

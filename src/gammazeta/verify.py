@@ -12,11 +12,10 @@ where complex floating point is intrinsic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import (
     bell,
@@ -32,8 +31,7 @@ from .polynomials import GaussianRational, Polynomial
 DEFAULT_SEED = 20214097
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     name: str
     passed: bool

@@ -27,6 +27,13 @@ def run_cli(argv):
     return code, buf.getvalue()
 
 
+def _src_env():
+    # the environment of a child process that imports this checkout's gammazeta
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def csv_table(text):
     lines = text.strip().split("\n")
     assert lines[0] == "row,col,value"
@@ -312,6 +319,41 @@ def test_terms_at_the_cap_are_accepted():
     assert code == cli.EXIT_OK
 
 
+def test_import_does_not_load_dataclasses():
+    # every CLI job pays for the import; dataclasses would bring inspect,
+    # ast, dis and tokenize with it
+    code = "import gammazeta, sys; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("text", [
+    "1e1001", "1e-1001", "1e1000000", "1e-1000000", "0." + "0" * 1000 + "1",
+    "1" * 1001, "1,1e-2000000", "1e-2000000,1",
+])
+def test_s_literal_above_the_size_cap_is_a_usage_error(text, capsys):
+    for argv in (["eval", "gamma", "--s", text, "--terms", "3"],
+                 ["integral-check", "--s", text, "--n", "1"]):
+        code, out = run_cli(argv)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        err = capsys.readouterr().err
+        assert f"above the cap {cli.MAX_S_DIGITS}" in err
+        assert err.count("\n") == 1 and len(err) < 200
+
+
+def test_s_literal_at_the_size_cap_is_accepted():
+    assert cli.parse_complex_flag("1e-999") == Fraction(1, 10**999)
+    assert cli.parse_complex_flag("0." + "0" * 998 + "1") == Fraction(1, 10**999)
+    assert cli.parse_complex_flag("1" * 1000) == int("1" * 1000)
+    for text in ("1e-300", "1e-400", "1,1e-400"):
+        code, out = run_cli(["eval", "gamma", "--s", text, "--terms", "3"])
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["payload"]["terms"] == 3
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -322,10 +364,7 @@ def test_terms_at_the_cap_are_accepted():
 def test_stdout_closed_early_exits_quietly(argv):
     # the read end closes before the command writes, as when `head` has
     # already exited: no traceback, the documented exit status
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, "-m", "gammazeta", *argv], env=env,
+    proc = subprocess.Popen([sys.executable, "-m", "gammazeta", *argv], env=_src_env(),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()
     err = proc.stderr.read()

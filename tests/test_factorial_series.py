@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gammazeta import factorial_series as fs
@@ -48,6 +48,42 @@ def test_horner_numerator_is_the_defining_sum(data, a, stride, q):
     expected = sum(row[b] * q ** (a - b) * (factorial(r + a) // factorial(r + b))
                    for b in range(1, a + 1))
     assert fs._numerator(row, r, q) == expected
+
+
+def _loop_recurrence_terms(side, s, n_terms, pref=None):
+    # the recurrence branch of float_terms as a plain loop over b: the
+    # reference the comprehension must match bit for bit
+    d = side.stride
+    terms = [1 / (s + 1) if pref is None else pref / (s + 1)]
+    row = [1.0 + 0j]
+    for a in range(1, n_terms):
+        r = d * a
+        prev, row = row, [0j] * (a + 1)
+        for b in range(1, a + 1):
+            upper = prev[b] if b < len(prev) else 0j
+            row[b] = ((r + b - d) / (r + b) * upper
+                      + (s - b + 1) / (r + b) * prev[b - 1])
+        inner = sum(row[b] for b in range(a, 0, -1))
+        den = s + r + 1
+        terms.append(inner / den if pref is None else pref * inner / den)
+    return terms
+
+
+@pytest.mark.parametrize("side_name", ["gamma", "zeta"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_terms=st.integers(1, 150))
+def test_float_recurrence_is_the_loop_bit_for_bit(side_name, data, n_terms):
+    module = ge if side_name == "gamma" else ze
+    low = -1.0 if side_name == "gamma" else 0.0
+    re = data.draw(st.floats(low, 4.0, exclude_min=True, exclude_max=True))
+    im = data.draw(st.floats(-20.0, 20.0).filter(lambda y: y != 0))
+    s = complex(re, im)
+    assume(side_name == "zeta" or abs(s + 1) >= ge.POLE_TOLERANCE)
+    pref = None if side_name == "gamma" else 2 ** (s - 1) / s
+    expected = _loop_recurrence_terms(module.SIDE, s, n_terms, pref)
+    assert _bits(module.expansion_terms(s, n_terms, "recurrence")) == _bits(expected)
+    assert (_bits(module.partial_sums(s, n_terms, "recurrence"))
+            == _bits(fs.running_sums(expected)))
 
 
 def _exact_reference(side, s, n_terms, path, pref=None):
