@@ -41,9 +41,9 @@ from .report import BudgetExceededError, DomainError
 
 SCHEMA_VERSION = "1.0"
 DEFAULT_TABLE_CAP = 64
-# cap on --terms and --max-terms: with integer or complex s the direct
-# path caches the exact kernel triangle, ~0.8 GiB for zeta at 1000 terms
-# and growing like N**3.2
+# cap on --terms and --max-terms, which bounds time: complex s on the direct
+# path builds the exact kernel rows once for its float weights, and keeps
+# none (zeta at 1000 terms: ~5 s, 39 MiB; the time grows about like N**3)
 MAX_TERMS = 1000
 # cap on the digit count plus |exponent| of each --s component: Fraction
 # builds 10**|exponent| exactly, and the exact backend's work grows with
@@ -293,9 +293,7 @@ def cmd_integral_check(args, out) -> int:
         raise UsageError("--tol must be a finite number > 0")
     if args.budget < 1:
         raise UsageError("--budget must be >= 1")
-    report = oracles.integral_identity_check(
-        complex(s), args.n, tol=args.tol, budget=args.budget
-    )
+    report = oracles.integral_identity_check(s, args.n, tol=args.tol, budget=args.budget)
     payload = {
         "s": _complex_payload(report.s),
         "n": report.n,

@@ -11,8 +11,8 @@ with a kernel triangle T obeying
 
 The sides differ only in the row stride d: d = 1 with T = c on the
 Gamma side, d = 2 with the even rows of b on the zeta side (the odd
-rows vanish). A :class:`Side` carries d and the cached kernel rows;
-row a of its triangle holds T[d*a, b] for b = 0..a.
+rows vanish). A :class:`Side` carries d, the kernel rows that only the
+tables read (row a holds T[d*a, b] for b = 0..a), and float weights.
 
 The "direct" path combines the kernel rows with falling factorials,
 as A_a(s) = sum_b w[r,b] (s)_b/b! with the s-independent weights
@@ -28,7 +28,7 @@ fixed-point tier builds them without the triangle.
 For rational s = p/q each term A_a(s)/(s+r+1) comes out correctly
 rounded, from the first of three tiers that can vouch for it:
 
-1. Certified fixed point (non-integer s). Every value is an integer
+1. Certified fixed point (every s but 0). Every value is an integer
    scaled by 2**P; each step is a floor division, so only small-by-P-bit
    products appear (and P-by-P-bit ones in the direct path's dot
    product). A rigorous bound E_a on the error of every entry of row a
@@ -39,9 +39,8 @@ rounded, from the first of three tiers that can vouch for it:
    ACM TOMS 17(3), 1991; Brent & Zimmermann, Modern Computer
    Arithmetic, ch. 3-4).
 3. Exact integers (:func:`_exact_sums`): each term over a common
-   denominator, summed by Horner's rule and rounded once. Integer s
-   starts here, because A_a(s) can be exactly 0 there, which no
-   interval can certify.
+   denominator, summed by Horner's rule and rounded once. s = 0 starts
+   here: every A_a(s) has the factor s, and no interval can certify 0.
 
 All three give the same bits, since each returns the correctly rounded
 value of the same rational. For non-real s both paths run in complex
@@ -55,7 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial, prod
+from math import factorial, inf, prod
 from operator import mul
 from numbers import Rational
 from typing import NamedTuple
@@ -74,8 +73,8 @@ GUARD_BITS = 64
 
 class Side(NamedTuple):
     """One expansion: row stride ``stride``, kernel ``triangle``, whose
-    row a holds T[stride*a, b] for b = 0..a, and the float ``weights``
-    T[r,b] b!/(r+b)! of the same rows."""
+    row a holds T[stride*a, b] for b = 0..a (read by the tables alone),
+    and the float ``weights`` T[r,b] b!/(r+b)! of the same rows."""
 
     stride: int
     triangle: CachedTriangle
@@ -99,11 +98,19 @@ def _next_row(prev: list[int], left: list[int], a: int, d: int) -> list[int]:
 
 def kernel_side(stride: int) -> Side:
     """A side whose kernel rows and float weights are built, and cached,
-    row by row."""
-    triangle = CachedTriangle(
-        lambda rows, a: _next_row(rows[a - 1], rows[a - 1], a, stride) if a else [1])
-    return Side(stride, triangle, CachedTriangle(
-        lambda rows, a: _float_weights(triangle.row(a), stride * a)))
+    row by row; the weights stream kernel rows that they do not keep."""
+
+    def kernel_row(rows, a):  # rows[-1] is row a-1
+        return _next_row(rows[-1], rows[-1], a, stride) if a else [1]
+
+    last = [(0, [1])]  # (a, kernel row a): a-1, or a if weight row a was cut short
+
+    def weight_row(rows, a):
+        if last[0][0] < a:
+            last[0] = (a, kernel_row([last[0][1]], a))
+        return _float_weights(last[0][1], stride * a)
+
+    return Side(stride, CachedTriangle(kernel_row), CachedTriangle(weight_row))
 
 
 def as_fraction(s) -> Fraction | None:
@@ -128,13 +135,6 @@ def check_request(n_terms: int, path: str) -> None:
         raise ValueError(f"unknown path {path!r}")
 
 
-def _falling(p: int, q: int, n: int) -> list[int]:
-    falling = [1] * n  # falling[b] = prod_{j<b} (p - j q) = q**b * (s)_b
-    for b in range(1, n):
-        falling[b] = falling[b - 1] * (p - (b - 1) * q)
-    return falling
-
-
 def _numerator(row: list[int], r: int, q: int) -> int:
     # sum_b row[b] q**(a-b) (r+a)!/(r+b)!, a = len(row) - 1: the sum of
     # row[b]/(q**b (r+b)!) over the common denominator q**a (r+a)!, by
@@ -145,20 +145,13 @@ def _numerator(row: list[int], r: int, q: int) -> int:
     return num
 
 
-def _exact_sums(side: Side, p: int, q: int, n: int, path: str):
+def _exact_sums(d: int, p: int, q: int, n: int):
     """(numerator, denominator) of A_a(p/q) for a = 1..n-1, over the
-    common denominator q**a (r+a)!."""
-    d = side.stride
-    if path == "direct":
-        side.triangle.ensure(n - 1)
-        falling = _falling(p, q, n)
+    common denominator q**a (r+a)!, from M[a,b] = q**b (s)_b T[r,b]."""
     row = [1]
     for a in range(1, n):
         r = d * a
-        if path == "direct":
-            row = [f * t for f, t in zip(falling, side.triangle.row(a))]
-        else:
-            row = _next_row(row, [(p - j * q) * m for j, m in enumerate(row)], a, d)
+        row = _next_row(row, [(p - j * q) * m for j, m in enumerate(row)], a, d)
         yield _numerator(row, r, q), q**a * factorial(r + a)
 
 
@@ -287,7 +280,7 @@ def exact_terms(
     p, q = s.numerator, s.denominator
     inner = [None] * n_terms  # inner[a] = A_a/(s+r+1), rounded, for a >= 1
     todo = range(1, n_terms)
-    if q > 1:
+    if p != 0:  # A_a(0) = 0, which no interval certifies
         prec = _start_precision(side, p, q, n_terms, path)
         for _ in range(1 + ZIV_DOUBLINGS):
             if not todo:
@@ -298,11 +291,17 @@ def exact_terms(
             todo = [a for a in todo if inner[a] is None]
             prec *= 2
     if todo:
-        for a, (num, den) in enumerate(_exact_sums(side, p, q, todo[-1] + 1, path), 1):
+        for a, (num, den) in enumerate(_exact_sums(side.stride, p, q, todo[-1] + 1), 1):
             if inner[a] is None:
                 inner[a] = (num * q) / (den * (p + (side.stride * a + 1) * q))
-    terms = [q / (p + q) if pref is None else pref * q / (p + q)]
-    terms += (t if pref is None else pref * t for t in inner[1:])
+    head = q / (p + q)  # 1/(s+1)
+    if pref is not None:
+        try:  # the zeta side's rounding order: q, pref*q, then the quotient
+            scaled = pref * q / (p + q)
+        except OverflowError:  # q is beyond the float range
+            scaled = inf
+        head = scaled if scaled < inf else pref * head
+    terms = [head] + [t if pref is None else pref * t for t in inner[1:]]
     return [complex(t) for t in terms]
 
 
@@ -365,10 +364,9 @@ def coefficients(side: Side, s, order: int) -> list:
     """A_0(s)..A_order(s): exact Fractions for rational s, complex otherwise."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    side.triangle.ensure(order)
     frac = as_fraction(s)
     if frac is not None:
-        sums = _exact_sums(side, frac.numerator, frac.denominator, order + 1, "direct")
+        sums = _exact_sums(side.stride, frac.numerator, frac.denominator, order + 1)
         return [Fraction(1)] + [Fraction(num, den) for num, den in sums]
     binom = _binomials(complex(s), order + 1)
     return [1 + 0j] + [_float_coeff(side, binom, a) for a in range(1, order + 1)]

@@ -42,18 +42,16 @@ from .report import DomainError, PoleProximityError, SeriesReport
 
 POLE_TOLERANCE = 1e-12
 
-#: the Gamma side of the factorial-series engine (row stride 1)
+#: the Gamma side of the factorial-series engine (row stride 1); row a
+#: of its triangle holds c[a, b] for b = 0..a
 SIDE = fs.kernel_side(1)
-
-#: c[a,b] built by the two-term recurrence.
-GAMMA_COEFFS = SIDE.triangle
 
 
 def coeff(alpha: int, beta: int) -> int:
     """Triangle entry c[alpha, beta] (recurrence route)."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    return GAMMA_COEFFS.entry(alpha, beta)
+    return SIDE.triangle.entry(alpha, beta)
 
 
 def coeff_direct(alpha: int, beta: int) -> int:
@@ -81,7 +79,7 @@ def coeff_direct(alpha: int, beta: int) -> int:
 
 def coeff_table(max_row: int) -> list[list[int]]:
     """Rows 0..max_row of the triangle; row a has entries b = 0..a."""
-    return GAMMA_COEFFS.rows(max_row)
+    return SIDE.triangle.rows(max_row)
 
 
 def log_series_bell_value(alpha: int, beta: int) -> Fraction:
@@ -96,9 +94,9 @@ def expansion_terms(s, n_terms: int, path: str = "direct") -> list[complex]:
     """The first ``n_terms`` terms of the expansion (index a = 0..n_terms-1).
 
     Term 0 is 1/(s+1); term a is A_a(s)/(s+a+1). ``path`` selects the
-    triangle-backed direct sums ("direct") or the summand recurrence
-    ("recurrence"). Rational s evaluates exactly termwise; complex s in
-    floating point.
+    weights of the kernel triangle ("direct") or the summand recurrence
+    ("recurrence"). Rational s gives correctly rounded terms; complex s
+    runs in floating point.
     """
     fs.check_request(n_terms, path)
     frac = fs.as_fraction(s)

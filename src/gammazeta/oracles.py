@@ -326,9 +326,11 @@ def integral_identity_check(s, n: int, tol: float = DEFAULT_QUAD_TOL,
     Raises BudgetExceededError when the quadrature cannot reach ``tol``
     within ``budget`` evaluations.
     """
+    if s.real <= 0:  # on the exact value: complex(1e-400) is 0
+        raise DomainError("identity requires Re(s) > 0")
     s = complex(s)
     if s.real <= 0:
-        raise DomainError("identity requires Re(s) > 0")
+        raise DomainError("Re(s) > 0 rounds to 0.0, below the float range")
     if n < 0:
         raise ValueError("n must be nonnegative")
     integrand = _reduced_integrand(s + n, reduced_polynomial(n).coeffs, 2)

@@ -40,7 +40,7 @@ casing.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 
 from . import factorial_series as fs, oracles
 from .bell import TruncatedSeries
@@ -113,14 +113,17 @@ def expansion_terms(s, n_terms: int, path: str = "direct") -> list[complex]:
     Requires Re(s) > 0 (the validity region of the underlying integral).
     """
     fs.check_request(n_terms, path)
-    sc = complex(s)
-    if sc.real <= 0:
-        raise DomainError("expansion requires Re(s) > 0")
     frac = fs.as_fraction(s)
-    if frac is not None:
-        pref = 2 ** (float(frac) - 1) / float(frac)
-        return fs.exact_terms(SIDE, frac, n_terms, path, pref)
-    return fs.float_terms(SIDE, sc, n_terms, path, 2 ** (sc - 1) / sc)
+    if s.real <= 0:  # on the exact value: complex(1e-400) is 0
+        raise DomainError("expansion requires Re(s) > 0")
+    if frac is None:
+        sc = complex(s)
+        return fs.float_terms(SIDE, sc, n_terms, path, 2 ** (sc - 1) / sc)
+    sf = float(frac)
+    pref = 2 ** (sf - 1) / sf if sf else inf
+    if pref == inf:  # s below about 2.8e-309
+        raise OverflowError("the prefactor 2**(s-1)/s is beyond the float range")
+    return fs.exact_terms(SIDE, frac, n_terms, path, pref)
 
 
 def partial_sums(s, n_terms: int, path: str = "direct") -> list[complex]:

@@ -19,6 +19,8 @@ that has the current API.
   benchmark reaches (N up to 450), for one exact rational per side.
 - ``terms_800.json``: the same digests at N=800, gamma s=3/2 and zeta
   s=3/4.
+- ``terms_cap.json``: the same digests for integer s=2 at the term cap
+  (N=1000) and complex s=1+i at N=400, on both sides.
 - ``coeffs.json``: ``integrand_coeffs`` and ``log_ratio_coeffs`` to
   order 30, exact Fractions as strings, complex floats as ``float.hex``.
 - ``cli.json``: the stdout of a set of CLI commands, byte for byte.
@@ -142,6 +144,15 @@ CASES_800 = [
 ]
 
 
+# integer s at the term cap, and complex s where the float sums are deep
+CASES_CAP = [
+    ("gamma", "2", Fraction(2), 1000),
+    ("zeta", "2", Fraction(2), 1000),
+    ("gamma", "1+1j", 1 + 1j, 400),
+    ("zeta", "1+1j", 1 + 1j, 400),
+]
+
+
 def _case_digests(cases) -> dict:
     out = {}
     for side, label, s, n in cases:
@@ -157,6 +168,10 @@ def collect_deep_terms() -> dict:
 
 def collect_terms_800() -> dict:
     return _case_digests(CASES_800)
+
+
+def collect_terms_cap() -> dict:
+    return _case_digests(CASES_CAP)
 
 
 def _coeff_text(c) -> str:
@@ -387,6 +402,7 @@ COLLECTORS = {
     "terms.json": collect_terms,
     "terms_deep.json": collect_deep_terms,
     "terms_800.json": collect_terms_800,
+    "terms_cap.json": collect_terms_cap,
     "coeffs.json": collect_coeffs,
     "cli.json": collect_cli,
     "quadrature.json": collect_quadrature,

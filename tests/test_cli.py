@@ -399,6 +399,45 @@ def test_float_overflow_is_a_domain_error(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["eval", "zeta", "--s", "1e-400", "--terms", "3"],
+        ["eval", "zeta", "--s", "1e-310", "--terms", "3", "--path", "recurrence"],
+        ["converge", "zeta", "--s", "1e-400", "--max-terms", "3", "--stride", "1"],
+        ["integral-check", "--s", "1e-400", "--n", "1"],
+        ["eval", "zeta", "--s", "1e400", "--terms", "3"],
+        ["integral-check", "--s", "1e400", "--n", "1"],
+    ],
+)
+def test_s_beyond_the_float_range_says_so(argv, capsys):
+    # the domain is tested on the exact value, so a positive s that rounds
+    # to 0.0 is not reported as Re(s) <= 0
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("numeric-domain error: ")
+    assert "float" in err and "requires" not in err
+    assert err.count("\n") == 1
+
+
+def test_s_with_a_denominator_beyond_the_float_range_evaluates():
+    # s = 1 + 10**-399, whose denominator is beyond the float range
+    s = "1." + "0" * 398 + "1"
+    for target in ("gamma", "zeta"):
+        code, out = run_cli(["eval", target, "--s", s, "--terms", "3"])
+        assert code == cli.EXIT_OK
+        _, at_one = run_cli(["eval", target, "--s", "1", "--terms", "3"])
+        near = [json.loads(text)["payload"]["partial_sum"]["re"] for text in (out, at_one)]
+        assert math.isclose(*near, rel_tol=1e-15)
+    # s = 10**-300: pref*q alone overflows, but the term 5e299 does not
+    code, out = run_cli(["eval", "zeta", "--s", "1e-300", "--terms", "3"])
+    assert code == cli.EXIT_OK
+    payload = json.loads(out)["payload"]
+    assert math.isfinite(payload["partial_sum"]["re"]) and payload["rel_error"] < 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["eval", "gamma", "--s", "0.5,1e308", "--terms", "3"],
         ["converge", "gamma", "--s", "0.5,1e308", "--max-terms", "3", "--stride", "1"],
         ["integral-check", "--s", "0.5,1e308", "--n", "0"],
@@ -445,7 +484,7 @@ def _ints(lo, hi):
 
 _DECIMALS = st.decimals(-3, 40, places=2, allow_nan=False, allow_infinity=False)
 _S = st.one_of(
-    st.sampled_from(["0", "1", "-1", "-2", "0.5", "1,60", "-1,0", "0,1", "1e-300",
+    st.sampled_from(["0", "1", "-1", "-2", "0.5", "1,60", "-1,0", "0,1", "1e-300", "1e-400",
                      "100000000000000000000.5", "1/2", "abc", "1,2,3", ""]),
     _DECIMALS.map(str),
     st.tuples(_DECIMALS, _DECIMALS).map(lambda z: f"{z[0]},{z[1]}"),

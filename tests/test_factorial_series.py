@@ -1,7 +1,11 @@
 """The shared factorial-series engine behind both expansions."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -86,23 +90,26 @@ def test_float_recurrence_is_the_loop_bit_for_bit(side_name, data, n_terms):
             == _bits(fs.running_sums(expected)))
 
 
-def _exact_reference(side, s, n_terms, path, pref=None):
+def _exact_reference(side, s, n_terms, pref=None):
     # every term from the exact tier alone, rounded as exact_terms rounds it
     p, q = s.numerator, s.denominator
     terms = [q / (p + q) if pref is None else pref * q / (p + q)]
-    for a, (num, den) in enumerate(fs._exact_sums(side, p, q, n_terms, path), 1):
+    for a, (num, den) in enumerate(fs._exact_sums(side.stride, p, q, n_terms), 1):
         t = (num * q) / (den * (p + (side.stride * a + 1) * q))
         terms.append(t if pref is None else pref * t)
     return [complex(t) for t in terms]
 
 
 # s for each side: small rationals (negative ones on the Gamma side),
-# binary floats at their exact value, and rationals with large terms
+# binary floats at their exact value, rationals with large terms, and
+# integers (0 on the Gamma side)
 _SIDE_S = {
     "gamma": st.one_of(_rationals(-1), st.floats(-0.999, 60.0).map(Fraction),
-                       st.sampled_from([Fraction(0.3), Fraction(1e-3), Fraction(-0.3)])),
+                       st.sampled_from([Fraction(0.3), Fraction(1e-3), Fraction(-0.3)]),
+                       st.integers(0, 60).map(Fraction)),
     "zeta": st.one_of(_rationals(0), st.floats(1e-3, 60.0).map(Fraction),
-                      st.sampled_from([Fraction(0.3), Fraction(0.75), Fraction(1e-3)])),
+                      st.sampled_from([Fraction(0.3), Fraction(0.75), Fraction(1e-3)]),
+                      st.integers(1, 60).map(Fraction)),
 }
 
 
@@ -114,7 +121,7 @@ def test_certified_terms_are_the_exact_terms(side_name, path, data, n_terms):
     s = data.draw(_SIDE_S[side_name])
     module = ge if side_name == "gamma" else ze
     pref = None if side_name == "gamma" else 2 ** (float(s) - 1) / float(s)
-    expected = _exact_reference(module.SIDE, s, n_terms, path, pref)
+    expected = _exact_reference(module.SIDE, s, n_terms, pref)
     assert _bits(module.expansion_terms(s, n_terms, path)) == _bits(expected)
 
 
@@ -130,9 +137,9 @@ def test_low_start_precision_doubles_then_falls_back(monkeypatch):
         certified.append(sum(t is not None for t in got))
         return iter(got)
 
-    def spy_exact(side, p, q, n, path):
+    def spy_exact(d, p, q, n):
         exact_rows.append(n - 1)
-        return exact_sums(side, p, q, n, path)
+        return exact_sums(d, p, q, n)
 
     monkeypatch.setattr(fs, "_start_precision", lambda *args: 16)
     monkeypatch.setattr(fs, "_fixed_terms", spy_fixed)
@@ -146,18 +153,80 @@ def test_low_start_precision_doubles_then_falls_back(monkeypatch):
             assert certified[0] == 0 and certified[-1] > 0
             assert sum(certified) < 99 and exact_rows, "the exact tier never ran"
             monkeypatch.setattr(fs, "_exact_sums", exact_sums)
-            assert _bits(terms) == _bits(_exact_reference(module.SIDE, s, 100, path, pref))
+            assert _bits(terms) == _bits(_exact_reference(module.SIDE, s, 100, pref))
             monkeypatch.setattr(fs, "_exact_sums", spy_exact)
 
 
-def test_integer_s_takes_the_exact_tier_alone(monkeypatch):
-    def fail(*args):
-        raise AssertionError("the fixed-point tier ran for integer s")
+def test_only_s_zero_skips_the_fixed_tier(monkeypatch):
+    # A_a(0) = 0, which no interval certifies; every other integer s
+    # certifies all its terms in the first pass
+    fixed_terms, passes = fs._fixed_terms, []
 
-    monkeypatch.setattr(fs, "_fixed_terms", fail)
+    def spy_fixed(*args):
+        passes.append(args)
+        return fixed_terms(*args)
+
+    def fail(*args):
+        raise AssertionError("the exact tier ran for integer s >= 1")
+
+    monkeypatch.setattr(fs, "_fixed_terms", spy_fixed)
     for path in fs.PATHS:
         assert ge.expansion_terms(Fraction(0), 40, path)[1:] == [0j] * 39
-        ze.expansion_terms(Fraction(3), 40, path)
+        assert passes == []
+    monkeypatch.setattr(fs, "_exact_sums", fail)
+    for module, s in ((ge, 1), (ge, 7), (ze, 1), (ze, 2), (ze, 30)):
+        for path in fs.PATHS:
+            passes.clear()
+            module.expansion_terms(Fraction(s), 200, path)
+            assert len(passes) == 1
+
+
+def test_evaluation_never_grows_the_exact_triangle():
+    # only coeff, coeff_table and the Bell values read the exact kernel
+    # triangle; the float weights stream kernel rows of their own
+    side = fs.kernel_side(2)
+    for path in fs.PATHS:
+        fs.exact_terms(side, Fraction(2), 60, path)
+        fs.exact_terms(side, Fraction(0), 60, path)
+        fs.float_terms(side, 1 + 1j, 60, path)
+    fs.coefficients(side, Fraction(3), 30)
+    fs.coefficients(side, 0.5 + 1j, 30)
+    assert side.triangle._rows == []
+
+
+def test_interrupted_weight_build_keeps_its_rows_in_place(monkeypatch):
+    # a KeyboardInterrupt in the middle of a build, as a library caller
+    # may raise it, leaves later weight rows keyed to their own kernel row
+    side = fs.kernel_side(1)
+    float_weights = fs._float_weights
+
+    def interrupt(row, r):
+        if r == 7:
+            raise KeyboardInterrupt
+        return float_weights(row, r)
+
+    monkeypatch.setattr(fs, "_float_weights", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        side.weights.ensure(20)
+    monkeypatch.undo()
+    expected = [fs._float_weights(row, a) for a, row in enumerate(side.triangle.rows(30))]
+    assert side.weights.rows(30) == expected
+
+
+def test_deep_direct_rows_stay_small():
+    # no exact kernel triangle is kept, for integer s or for the float
+    # weights: cached, it would take 867 and 198 MiB here
+    code = ("import resource\n"
+            "from gammazeta import zeta_expansion as ze\n"
+            "for s, n in ((2, 1000), (1 + 1j, 600)):\n"
+            "    ze.expansion_terms(s, n, 'direct')\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")  # KiB
+    src = str(Path(fs.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peaks = [int(kib) / 1024 for kib in proc.stdout.split()]
+    assert len(peaks) == 2 and max(peaks) <= 64, peaks
 
 
 @pytest.mark.parametrize("stride", [1, 2])

@@ -1,7 +1,9 @@
 """Golden outputs captured before the evaluators shared one engine,
 before the quadrature rules shared one level loop, before the
-derivative polynomials shared one Eulerian form, and before the exact
-sums used Horner's rule (``terms_deep.json``, at N up to 450).
+derivative polynomials shared one Eulerian form, before the exact
+sums used Horner's rule (``terms_deep.json``, at N up to 450), and
+before integer s took the certified tier (``terms_cap.json``, integer s
+at N=1000 and complex s at N=400).
 
 Every term's bits on both backends and paths, the exact and float
 coefficient helpers, the quadrature results (value and error bits,
