@@ -41,9 +41,9 @@ from .report import BudgetExceededError, DomainError
 
 SCHEMA_VERSION = "1.0"
 DEFAULT_TABLE_CAP = 64
-# cap on --terms and --max-terms, which bounds time: complex s on the direct
-# path builds the exact kernel rows once for its float weights, and keeps
-# none (zeta at 1000 terms: ~5 s, 39 MiB; the time grows about like N**3)
+# cap on --terms and --max-terms, which bounds time: at 1000 terms the
+# slowest case with a short s is rational s on the direct path (gamma 3/2:
+# ~1.3 s); complex s takes ~0.35 s on either path
 MAX_TERMS = 1000
 # cap on the digit count plus |exponent| of each --s component: Fraction
 # builds 10**|exponent| exactly, and the exact backend's work grows with

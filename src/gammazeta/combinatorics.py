@@ -14,8 +14,7 @@ from typing import Callable
 
 
 class CachedTriangle:
-    """Ragged table indexed by (row, column): exact integers, or the
-    floats derived from them.
+    """Ragged table indexed by (row, column): exact integers, or floats.
 
     Rows are produced by ``build_row(rows, n)``, which receives all
     previously built rows and must return row ``n`` as a list.

@@ -183,7 +183,7 @@ def test_only_s_zero_skips_the_fixed_tier(monkeypatch):
 
 def test_evaluation_never_grows_the_exact_triangle():
     # only coeff, coeff_table and the Bell values read the exact kernel
-    # triangle; the float weights stream kernel rows of their own
+    # triangle; the float weights come from a recurrence of their own
     side = fs.kernel_side(2)
     for path in fs.PATHS:
         fs.exact_terms(side, Fraction(2), 60, path)
@@ -194,23 +194,36 @@ def test_evaluation_never_grows_the_exact_triangle():
     assert side.triangle._rows == []
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_complex_s_builds_no_exact_kernel_row(monkeypatch, stride):
+    # the float weights, and so complex direct terms and coefficients,
+    # come without a single big-integer kernel row
+    def fail(*args):
+        raise AssertionError("an exact kernel row was built")
+
+    monkeypatch.setattr(fs, "_next_row", fail)
+    side = fs.kernel_side(stride)
+    assert len(fs.float_terms(side, 1 + 1j, 60, "direct")) == 60
+    assert len(fs.coefficients(side, 0.5 + 1j, 30)) == 31
+
+
 def test_interrupted_weight_build_keeps_its_rows_in_place(monkeypatch):
     # a KeyboardInterrupt in the middle of a build, as a library caller
-    # may raise it, leaves later weight rows keyed to their own kernel row
+    # may raise it, leaves the cached weight rows as an uninterrupted
+    # build makes them
     side = fs.kernel_side(1)
-    float_weights = fs._float_weights
+    float_row = fs._float_row
 
-    def interrupt(row, r):
-        if r == 7:
+    def interrupt(prev, d, shift):
+        if len(prev) == 7:
             raise KeyboardInterrupt
-        return float_weights(row, r)
+        return float_row(prev, d, shift)
 
-    monkeypatch.setattr(fs, "_float_weights", interrupt)
+    monkeypatch.setattr(fs, "_float_row", interrupt)
     with pytest.raises(KeyboardInterrupt):
         side.weights.ensure(20)
     monkeypatch.undo()
-    expected = [fs._float_weights(row, a) for a, row in enumerate(side.triangle.rows(30))]
-    assert side.weights.rows(30) == expected
+    assert side.weights.rows(30) == fs.kernel_side(1).weights.rows(30)
 
 
 def test_deep_direct_rows_stay_small():
@@ -232,17 +245,27 @@ def test_deep_direct_rows_stay_small():
 @pytest.mark.parametrize("stride", [1, 2])
 def test_weight_recurrence_gives_the_kernel_weights(stride):
     # w[r,b] = ((r+b-d) w[r-d,b] + b w[r-d,b-1])/(r+b) reproduces
-    # T[r,b] b!/(r+b)! from the exact triangle
+    # T[r,b] b!/(r+b)! from the exact triangle; the cached float weights,
+    # the same recurrence in floating point, stay within a*u relative of
+    # them (u = 2**-53)
     side = fs.kernel_side(stride)
     row = [Fraction(1)]
-    for a in range(1, 31):
+    for a in range(1, 201):
         r = stride * a
-        prev = row + [Fraction(0)]
-        row = [Fraction(0)] + [((r + b - stride) * prev[b] + b * prev[b - 1]) / (r + b)
-                               for b in range(1, a + 1)]
         kernel = side.triangle.row(a)
-        assert row == [Fraction(kernel[b] * factorial(b), factorial(r + b))
-                       for b in range(a + 1)]
+        if a <= 30:
+            prev = row + [Fraction(0)]
+            row = [Fraction(0)] + [((r + b - stride) * prev[b] + b * prev[b - 1]) / (r + b)
+                                   for b in range(1, a + 1)]
+            assert row == [Fraction(kernel[b] * factorial(b), factorial(r + b))
+                           for b in range(a + 1)]
+        weights = side.weights.row(a)
+        assert len(weights) == a + 1
+        for b in range(1, a + 1):
+            # |m/den - T b!/(r+b)!| <= a u T b!/(r+b)!, over integers
+            m, den = weights[b].as_integer_ratio()
+            exact = kernel[b] * factorial(b) * den
+            assert abs(m * factorial(r + b) - exact) << 53 <= a * exact, (a, b)
 
 
 @settings(max_examples=60, deadline=None)

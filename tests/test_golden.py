@@ -3,7 +3,9 @@ before the quadrature rules shared one level loop, before the
 derivative polynomials shared one Eulerian form, before the exact
 sums used Horner's rule (``terms_deep.json``, at N up to 450), and
 before integer s took the certified tier (``terms_cap.json``, integer s
-at N=1000 and complex s at N=400).
+at N=1000 and complex s at N=400). The complex ``direct`` records were
+re-captured once, when the float weights moved from rounded exact kernel
+rows to their own float recurrence.
 
 Every term's bits on both backends and paths, the exact and float
 coefficient helpers, the quadrature results (value and error bits,
