@@ -81,12 +81,13 @@ def _parse_decimal(text: str) -> Fraction:
     return Fraction(text)
 
 
-def parse_complex_flag(text: str):
+def parse_complex_flag(text: str, positive_re: bool = False):
     """Parse "RE" or "RE,IM" decimal literals.
 
     A plain real returns an exact Fraction (the evaluators then run
     their exact integer backends); with an imaginary part the value is
-    a complex float.
+    a complex float, whose real part must not round to 0.0 from above
+    where the domain is Re(s) > 0 (``positive_re``).
     """
     parts = text.split(",")
     if len(parts) not in (1, 2):
@@ -98,6 +99,8 @@ def parse_complex_flag(text: str):
         raise UsageError(f"cannot parse complex value {text!r}: {exc}") from exc
     if im == 0:
         return re
+    if positive_re and re > 0 and not float(re):
+        raise DomainError("Re(s) > 0 rounds to 0.0, below the float range")
     return complex(float(re), float(im))
 
 
@@ -172,7 +175,7 @@ def cmd_eval(args, out) -> int:
         raise UsageError("--terms must be >= 1")
     if args.terms > MAX_TERMS:
         raise UsageError(f"--terms {args.terms} exceeds the cap {MAX_TERMS}")
-    s = parse_complex_flag(args.s)
+    s = parse_complex_flag(args.s, positive_re=args.target == "zeta")
     report = EVALUATORS[args.target].evaluate(s, args.terms, args.path)
     payload = {
         "s": _complex_payload(report.s),
@@ -202,7 +205,7 @@ def cmd_converge(args, out) -> int:
         raise UsageError("requires max-terms >= stride >= 1")
     if args.max_terms > MAX_TERMS:
         raise UsageError(f"--max-terms {args.max_terms} exceeds the cap {MAX_TERMS}")
-    s = parse_complex_flag(args.s)
+    s = parse_complex_flag(args.s, positive_re=args.target == "zeta")
     module = EVALUATORS[args.target]
     sums = module.partial_sums(s, args.max_terms, args.path)
     reference = module.reference_value(s)
@@ -286,7 +289,7 @@ def cmd_verify(args, out) -> int:
 # ----------------------------------------------------------- integral-check
 
 def cmd_integral_check(args, out) -> int:
-    s = parse_complex_flag(args.s)
+    s = parse_complex_flag(args.s, positive_re=True)
     if not 0 <= args.n <= 12:
         raise UsageError("--n must lie in 0..12")
     if not (math.isfinite(args.tol) and args.tol > 0):

@@ -23,6 +23,7 @@ narrows each isolated cell (no floating point anywhere).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, count
 from math import factorial, prod
 
@@ -181,15 +182,22 @@ def roots_in_unit_interval(p: Polynomial) -> list[tuple[Fraction, Fraction]]:
     return brackets
 
 
+@cache
+def reduced_brackets(n: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The root brackets of P_n in (0,1), isolated once per process."""
+    return tuple(roots_in_unit_interval(reduced_polynomial(n)))
+
+
 def interlacing_check(n: int) -> bool:
     """True iff exactly one root of P_n lies between each pair of
-    consecutive roots of P_{n+1}; vacuously true for n = 0."""
+    consecutive roots of P_{n+1}; vacuously true for n = 0. It reads
+    :func:`reduced_brackets`, so a sweep over n isolates each P_n once."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return True
-    outer = roots_in_unit_interval(reduced_polynomial(n + 1))
-    inner = roots_in_unit_interval(reduced_polynomial(n))
+    outer = reduced_brackets(n + 1)
+    inner = reduced_brackets(n)
     if len(outer) != n + 1 or len(inner) != n:
         return False
     for i in range(n):

@@ -51,7 +51,10 @@ def gamma_ref(s) -> complex:
         # Gamma(s) Gamma(1-s) = pi / sin(pi s) = pi / ((-1)**n sin(pi (s-n))) for the
         # nearest integer n; s-n is exact, so the poles keep their relative accuracy
         n = round(s.real)
-        return math.pi / ((-1) ** n * cmath.sin(math.pi * (s - n)) * gamma_ref(1 - s))
+        value = math.pi / ((-1) ** n * cmath.sin(math.pi * (s - n)) * gamma_ref(1 - s))
+        if not cmath.isfinite(value):  # s within ~5.6e-309 of a pole
+            raise DomainError(f"Gamma oracle out of float range at s = {s!r}")
+        return value
     z = s - 1
     acc = complex(_LANCZOS_COEFFS[0])
     for i in range(1, len(_LANCZOS_COEFFS)):

@@ -15,14 +15,15 @@ class GaussianRational:
     """Exact complex number with rational real and imaginary parts.
 
     Just enough ring structure (+, -, *) for polynomial coefficients
-    arising from complex-conjugate quadratic roots.
+    arising from complex-conjugate quadratic roots. An int component
+    stays an int, so Gaussian integers multiply in int arithmetic.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is int else Fraction(re)
+        self.im = im if type(im) is int else Fraction(im)
 
     @classmethod
     def _coerce(cls, other):

@@ -388,7 +388,7 @@ def check_riccati_specializes_to_q(depth: int, rng) -> str | None:
 
 def check_root_counts(depth: int, rng) -> str | None:
     for n in range(1, min(depth, 12) + 1):
-        brackets = dpoly.roots_in_unit_interval(dpoly.reduced_polynomial(n))
+        brackets = dpoly.reduced_brackets(n)
         if len(brackets) != n:
             return f"expected {n} roots, found {len(brackets)}"
     return None

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -419,6 +420,33 @@ def test_s_beyond_the_float_range_says_so(argv, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["eval", "zeta", "--s", "1e-400,1", "--terms", "3"], cli.EXIT_DOMAIN),
+        (["eval", "zeta", "--s", "1e-400,-2", "--terms", "3", "--path", "recurrence"],
+         cli.EXIT_DOMAIN),
+        (["converge", "zeta", "--s", "1e-400,1", "--max-terms", "3", "--stride", "1"],
+         cli.EXIT_DOMAIN),
+        (["integral-check", "--s", "1e-400,1", "--n", "1"], cli.EXIT_DOMAIN),
+        # Gamma(s+1) needs only Re(s) > -1, which 0.0 meets
+        (["eval", "gamma", "--s", "1e-400,1", "--terms", "3"], cli.EXIT_OK),
+        (["converge", "gamma", "--s", "1e-400,1", "--max-terms", "3", "--stride", "1"],
+         cli.EXIT_OK),
+    ],
+)
+def test_complex_s_whose_positive_real_part_rounds_to_zero(argv, code, capsys):
+    # Re(s) = 1e-400 > 0: where the domain is Re(s) > 0 the message says
+    # that the real part rounds to 0.0, not that Re(s) <= 0
+    assert run_cli(argv)[0] == code
+    err = capsys.readouterr().err
+    if code == cli.EXIT_DOMAIN:
+        assert err == ("numeric-domain error: Re(s) > 0 rounds to 0.0, "
+                       "below the float range\n")
+    else:
+        assert err == ""
+
+
 def test_s_with_a_denominator_beyond_the_float_range_evaluates():
     # s = 1 + 10**-399, whose denominator is beyond the float range
     s = "1." + "0" * 398 + "1"
@@ -540,3 +568,84 @@ def test_any_argv_ends_in_a_documented_exit_code(argv):
     else:
         assert code in (cli.EXIT_OK, cli.EXIT_VERIFY_FAILED, cli.EXIT_USAGE,
                         cli.EXIT_DOMAIN, cli.EXIT_BUDGET)
+
+
+# boundary properties: near the pole of Gamma(s+1) at s = -1, as Re(s)
+# goes to 0+ on the zeta side, and with --s components beyond the float
+# range, every run ends in a documented exit code with no traceback, and
+# a success prints only finite numbers
+
+def _all_finite(value) -> bool:
+    if isinstance(value, dict):
+        return all(map(_all_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_all_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _run_at_boundary(argv) -> int:
+    code, out = run_cli(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_DOMAIN, cli.EXIT_BUDGET)
+    if code == cli.EXIT_OK:
+        assert _all_finite(json.loads(out)["payload"])
+    return code
+
+
+def _series_argvs(target, s):
+    return [["eval", target, f"--s={s}", "--terms", "6"],
+            ["eval", target, f"--s={s}", "--terms", "6", "--path", "recurrence"],
+            ["converge", target, f"--s={s}", "--max-terms", "6", "--stride", "3",
+             "--format", "json"]]
+
+
+# |delta| from 1e-16 to 1e-9, either sign
+_DELTA = st.builds(lambda m, e, sign: sign * Decimal(m).scaleb(e),
+                   st.integers(100, 999), st.integers(-18, -11), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_DELTA)
+def test_gamma_at_real_s_near_minus_one(delta):
+    s = Decimal(-1) + delta
+    for argv in _series_argvs("gamma", s):
+        assert _run_at_boundary(argv) == (cli.EXIT_OK if delta > 0 else cli.EXIT_DOMAIN)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.just(Decimal(0)), _DELTA), _DELTA)
+def test_gamma_at_complex_s_near_minus_one(re_delta, im_delta):
+    # |s+1| falls on both sides of the 1e-12 pole tolerance
+    s = complex(-1 + re_delta, im_delta)
+    argvs = _series_argvs("gamma", f"{-1 + re_delta},{im_delta}")
+    codes = {_run_at_boundary(argv) for argv in argvs}
+    if re_delta > 0 and abs(s + 1) > 2e-12:
+        assert codes == {cli.EXIT_OK}
+    if re_delta <= 0 or abs(s + 1) < 0.5e-12:
+        assert codes == {cli.EXIT_DOMAIN}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 999), st.integers(-340, -3),
+       st.sampled_from(("", ",1", ",-3.5", ",1e-300", ",same")))
+def test_zeta_as_re_s_goes_to_zero(mantissa, exponent, imag):
+    re = f"{mantissa}e{exponent}"
+    s = re + imag.replace("same", re)
+    for argv in _series_argvs("zeta", s) + [["integral-check", f"--s={s}", "--n", "2"]]:
+        _run_at_boundary(argv)
+    if exponent >= -300:  # |Gamma(s)| ~ 1/|s| stays finite
+        assert _run_at_boundary(["eval", "zeta", f"--s={s}", "--terms", "3"]) == cli.EXIT_OK
+
+
+_EXTREME = st.sampled_from(("1e-400", "-1e-400", "4.9e-325", "1e400", "-1e400", "1.8e309"))
+_PLAIN = st.sampled_from(("0.5", "-0.5", "2", "0"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_EXTREME, st.tuples(_EXTREME, _PLAIN).map(",".join),
+                 st.tuples(_PLAIN, _EXTREME).map(",".join),
+                 st.tuples(_EXTREME, _EXTREME).map(",".join)))
+def test_s_components_beyond_the_float_range(s):
+    for target in ("gamma", "zeta"):
+        for argv in _series_argvs(target, s):
+            _run_at_boundary(argv)
+    _run_at_boundary(["integral-check", f"--s={s}", "--n", "2"])

@@ -12,10 +12,12 @@ from gammazeta import (
     GaussianRational,
     Polynomial,
     derivative_polynomial,
+    derivative_polynomials as dpoly,
     interlacing_check,
     reduced_polynomial,
     riccati_derivative,
     roots_in_unit_interval,
+    verify,
 )
 from gammazeta.derivative_polynomials import BRACKET_WIDTH
 
@@ -178,3 +180,24 @@ class TestInterlacing:
     @pytest.mark.parametrize("n", [19, 24])
     def test_high_degrees(self, n):
         assert interlacing_check(n) is True
+
+    def test_brackets_are_those_of_the_isolation(self):
+        for n in (1, 5, 13):
+            assert dpoly.reduced_brackets(n) == tuple(
+                roots_in_unit_interval(reduced_polynomial(n)))
+
+    def test_poly_suite_isolates_each_reduced_polynomial_once(self, monkeypatch):
+        # root_counts reads P_1..P_12 and interlacing P_1..P_13, each
+        # isolated once
+        calls = []
+
+        def counted(p):
+            calls.append(p.degree)
+            return roots_in_unit_interval(p)
+
+        dpoly.reduced_brackets.cache_clear()
+        monkeypatch.setattr(dpoly, "roots_in_unit_interval", counted)
+        results = verify.run_suite("poly", 12)
+        assert sorted(calls) == list(range(1, 14))
+        assert results == [verify.CheckResult("poly", name, True, None)
+                           for name, _ in verify.SUITES["poly"]]

@@ -58,6 +58,13 @@ class TestGammaRef:
             with pytest.raises(PoleProximityError):
                 gamma_ref(s)
 
+    def test_beyond_the_float_range_next_to_a_pole(self):
+        # |Gamma(s)| ~ 1/|s-n| passes the largest double below ~5.6e-309
+        for s in (1e-320, 4.9e-309, complex(1e-320, 1e-320), complex(-2, 1e-320)):
+            with pytest.raises(DomainError, match="out of float range"):
+                gamma_ref(s)
+        assert math.isfinite(gamma_ref(1e-308).real)
+
 
 class TestEtaZetaRef:
     def test_known_values(self):

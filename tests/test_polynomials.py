@@ -55,3 +55,20 @@ class TestGaussianRational:
         z = GaussianRational(Fraction(3, 4), Fraction(-1, 2))
         assert complex(z) == 0.75 - 0.5j
         assert bool(GaussianRational(0, 0)) is False
+
+    def test_gaussian_integer_products_stay_int(self):
+        i = GaussianRational(0, 1)
+        z = (3 + 2 * i) * (1 - i) * i - 4
+        assert type(z.re) is int and type(z.im) is int
+        assert (z.re, z.im) == (-3, 5)
+
+    def test_int_and_fraction_components_are_one_value(self):
+        # an int component compares, hashes and prints as its Fraction does
+        z = GaussianRational(-7, 2) * GaussianRational(1, 1)
+        w = GaussianRational(Fraction(-9), Fraction(-5))
+        assert type(w.re) is Fraction
+        assert z == w and hash(z) == hash(w) and {w: 1}[z] == 1
+        assert (str(z.re), str(z.im)) == (str(w.re), str(w.im)) == ("-9", "-5")
+        assert complex(z) == complex(w) == -9 - 5j
+        assert GaussianRational(3) == 3 == GaussianRational(Fraction(3))
+        assert not GaussianRational(0, 0) and not GaussianRational(Fraction(0))
