@@ -4,7 +4,10 @@ truncated power series with complex powers.
 This is the brute-force side of every coefficient identity in the
 package: Bell values computed here from the generic recurrence are
 compared against the closed-form coefficient triangles, and series
-powers computed here validate the expansion coefficients.
+powers computed here validate the expansion coefficients. Bell values
+are computed over the integers: B_{n,k} is homogeneous of degree k, so
+B_{n,k}(x) = B_{n,k}(D x)/D**k for D the lcm of the denominators of
+x_1..x_{n-k+1}, and one Fraction is built, at the end.
 
 Conventions. A :class:`TruncatedSeries` stores ordinary coefficients
 (``coeffs[n]`` multiplies t**n). The exponential-generating-function
@@ -20,16 +23,39 @@ the n-th EGF coefficient of G**r.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from functools import wraps
+from math import comb, factorial, lcm, prod
 
-from .combinatorics import binomial, falling_factorial
+from .combinatorics import falling_factorial
 
 
 class SequenceTooShortError(ValueError):
     """An input sequence has fewer terms than B_{n,k} requires."""
 
 
-def partial_bell(n: int, k: int, xs) -> Fraction:
+def _on_integers(kernel):
+    """Lift ``kernel(n, k, us)``, B_{n,k} over ints, to rational ``xs``
+    by the scaling above, after checking n, k and the length of ``xs``."""
+
+    @wraps(kernel)
+    def bell_value(n: int, k: int, xs) -> Fraction:
+        if n < 0 or k < 0:
+            raise ValueError("n and k must be nonnegative")
+        if k == 0 or k > n:
+            return Fraction(int(n == k == 0))
+        if len(xs) < n - k + 1:
+            raise SequenceTooShortError(f"B_{{{n},{k}}} needs {n - k + 1} "
+                                        f"sequence terms, got {len(xs)}")
+        fs = [Fraction(x) for x in xs[: n - k + 1]]
+        den = lcm(*(f.denominator for f in fs))
+        us = [f.numerator * (den // f.denominator) for f in fs]
+        return Fraction(kernel(n, k, us), den**k)
+
+    return bell_value
+
+
+@_on_integers
+def partial_bell(n: int, k: int, xs):
     """Partial Bell polynomial B_{n,k}(x1, ..., x_{n-k+1}) over exact rationals.
 
     ``xs`` lists x1, x2, ... and must have at least n-k+1 terms.
@@ -37,52 +63,35 @@ def partial_bell(n: int, k: int, xs) -> Fraction:
 
         B_{n,k} = sum_{m=1..n-k+1} C(n-1, m-1) x_m B_{n-m,k-1}
 
-    with B_{0,0} = 1 and B_{n,0} = B_{0,k} = 0 otherwise.
+    with B_{0,0} = 1 and B_{n,0} = B_{0,k} = 0 otherwise, on the
+    integers D x_m (see :func:`_on_integers`).
     """
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
-    if k == 0 or n == 0:
-        return Fraction(int(n == 0 and k == 0))
-    if k > n:
-        return Fraction(0)
-    if len(xs) < n - k + 1:
-        raise SequenceTooShortError(
-            f"B_{{{n},{k}}} needs {n - k + 1} sequence terms, got {len(xs)}"
-        )
-    xs = [Fraction(x) for x in xs]
     # table[j][(rows)] built bottom-up: bell[j] holds B_{m,j} for m = j..n
-    prev = {0: Fraction(1)}  # B_{m,0}: only m=0 nonzero
+    prev = {0: 1}  # B_{m,0}: only m=0 nonzero
     for j in range(1, k + 1):
-        cur: dict[int, Fraction] = {}
+        cur: dict[int, int] = {}
         for m in range(j, n - (k - j) + 1):
-            acc = Fraction(0)
+            acc = 0
             for i in range(1, m - j + 2):
                 b = prev.get(m - i)
                 if b:
-                    acc += binomial(m - 1, i - 1) * xs[i - 1] * b
+                    acc += comb(m - 1, i - 1) * xs[i - 1] * b
             cur[m] = acc
         prev = cur
     return prev[n]
 
 
-def bell_by_partitions(n: int, k: int, xs) -> Fraction:
-    """B_{n,k} by direct enumeration of set partitions (trust anchor).
-
-    Exponential in n; intended for n <= 8 in tests only.
-    """
-    if k == 0 or n == 0:
-        return Fraction(int(n == 0 and k == 0))
-    xs = [Fraction(x) for x in xs]
-    total = Fraction(0)
+@_on_integers
+def bell_by_partitions(n: int, k: int, xs):
+    """B_{n,k} by direct enumeration of set partitions (trust anchor), on
+    the integers D x_m; exponential in n, for n <= 8 in tests only."""
+    total = 0
     # enumerate partitions of {0..n-1} via restricted growth strings
     def rec(i: int, blocks: list[int]):
         nonlocal total
         if i == n:
             if len(blocks) == k:
-                prod = Fraction(1)
-                for size in blocks:
-                    prod *= xs[size - 1]
-                total += prod
+                total += prod(xs[size - 1] for size in blocks)
             return
         for b in range(len(blocks)):
             blocks[b] += 1

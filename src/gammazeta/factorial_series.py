@@ -39,7 +39,9 @@ rounded, from the first of three tiers that can vouch for it:
    product). A rigorous bound E_a on the error of every entry of row a
    (:func:`_row_bounds`) gives an interval around the term; the term is
    kept when both ends of the interval round to the same double. P is
-   chosen from the bound of the last row plus 53 bits and a guard.
+   chosen from the bound of the last row plus 53 bits and a guard. At
+   integer s >= 0 the direct path's binomials C(s, b) are exact and 0
+   beyond b = s, so its weight rows stop at column s.
 2. The same at 2P, then 4P, for the terms still open (Ziv's loop: Ziv,
    ACM TOMS 17(3), 1991; Brent & Zimmermann, Modern Computer
    Arithmetic, ch. 3-4).
@@ -204,9 +206,11 @@ def _row_bounds(d: int, p: int, q: int, n: int) -> list[int]:
     return bounds
 
 
-def _fixed_rows(d: int, p: int, q: int, n: int, prec: int):
+def _fixed_rows(d: int, p: int, q: int, n: int, prec: int, width: float = inf):
     """Rows a = 1..n-1 of G[b] ~ g[r,b] 2**prec at s = p/q, each step of
-    the summand recurrence floored; :func:`_row_bounds` bounds the error."""
+    the summand recurrence floored; :func:`_row_bounds` bounds the error.
+    A row keeps its first ``width`` entries: entry b reads only entries
+    b-1 and b of the row before, so the cut changes no kept entry."""
     row = [1 << prec]
     for a in range(1, n):
         r = d * a
@@ -214,20 +218,24 @@ def _fixed_rows(d: int, p: int, q: int, n: int, prec: int):
             range((r + 1 - d) * q, (r + a + 1 - d) * q, q),  # (r+b-d) q
             range(p, p - a * q, -q),                          # (s-b+1) q
             range((r + 1) * q, (r + a + 1) * q, q),           # (r+b) q
-            row[1:] + [0], row)]
+            row[1:] + [0] if a < width else row[1:], row)]
         yield row
 
 
 def _fixed_binomials(p: int, q: int, n: int, prec: int) -> tuple[list[int], list[int]]:
     """B[b] ~ (-1)**b (s)_b/b! 2**prec at s = p/q for b = 0..n-1, each
     step floored, and bounds[a] >= |B[b] - (-1)**b (s)_b/b! 2**prec| for
-    all b <= a (by the argument of :func:`_row_bounds` with one term)."""
+    all b <= a, by the argument of :func:`_row_bounds` with one term: the
+    floor adds 1 to the bound only when its division is inexact. At
+    integer s >= 0 every division is exact, as B[b] = (-1)**b C(s, b)
+    2**prec, so every bound is 0 and B[b] = 0 exactly beyond b = s."""
     binom, bounds = [1 << prec], [0]
     err = 0
     for b in range(1, n):
         m = (b - 1) * q - p
-        binom.append(binom[-1] * m // (q * b))
-        err = -(-abs(m) * err // (q * b)) + 1
+        value, rem = divmod(binom[-1] * m, q * b)
+        binom.append(value)
+        err = -(-abs(m) * err // (q * b)) + (rem != 0)
         bounds.append(max(bounds[-1], err))
     return binom, bounds
 
@@ -252,10 +260,12 @@ def _fixed_terms(side: Side, p: int, q: int, n: int, path: str, prec: int):
     round to a single double."""
     d = side.stride
     if path == "direct":
-        # the weight rows are the summand rows at s = -1: (-1)**b w[r,b]
-        rows, bounds = _fixed_rows(d, -1, 1, n, prec), _row_bounds(d, -1, 1, n)
         binom, binom_err = _fixed_binomials(p, q, n, prec)
         binom_mass = list(accumulate(map(abs, binom)))  # sum_{b<=a} |B[b]|
+        # the weight rows are the summand rows at s = -1: (-1)**b w[r,b],
+        # cut where the binomials become exact zeros (beyond b = s >= 0)
+        width = next((b for b in range(n) if binom[b] == 0 == binom_err[b]), inf)
+        rows, bounds = _fixed_rows(d, -1, 1, n, prec, width), _row_bounds(d, -1, 1, n)
     else:
         rows, bounds = _fixed_rows(d, p, q, n, prec), _row_bounds(d, p, q, n)
     for a, row in enumerate(rows, 1):

@@ -20,7 +20,7 @@ a[n,k] (the division in the zeta triangle is exact because of this).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .combinatorics import CachedTriangle
 from .polynomials import Polynomial
@@ -86,22 +86,22 @@ def generating_function_coeff(n: int) -> Polynomial:
     """Coefficient of t**n in ((1+t)/(1-t))**x as an exact polynomial in x.
 
     Computed by the Cauchy product of the binomial series of (1+t)**x
-    and (1-t)**(-x) with x kept formal, entirely over Fractions. Equals
-    M_n(x)/n!; this is the independent route the triangle is checked
-    against.
+    and (1-t)**(-x) with x kept formal, over integer polynomials: n!
+    times the coefficient is sum_i C(n, i) x^(i falling) x^(n-i rising),
+    scaled by 1/n! once. Equals M_n(x)/n!; this is the independent route
+    the triangle is checked against.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    # plus[i] = C(x, i), minus[j] = C(x+j-1, j) as polynomials in x
-    plus: list[Polynomial] = [Polynomial.one()]
-    minus: list[Polynomial] = [Polynomial.one()]
+    falling: list[Polynomial] = [Polynomial.one()]
+    rising: list[Polynomial] = [Polynomial.one()]
     for i in range(1, n + 1):
-        plus.append(plus[i - 1] * Polynomial((-(i - 1), 1)) * Fraction(1, i))
-        minus.append(minus[i - 1] * Polynomial((i - 1, 1)) * Fraction(1, i))
+        falling.append(falling[i - 1] * Polynomial((-(i - 1), 1)))
+        rising.append(rising[i - 1] * Polynomial((i - 1, 1)))
     acc = Polynomial.zero()
     for i in range(n + 1):
-        acc = acc + plus[i] * minus[n - i]
-    return acc
+        acc = acc + (falling[i] * rising[n - i]).scale(comb(n, i))
+    return acc.scale(Fraction(1, factorial(n)))
 
 
 def ml_poly_from_generating_function(n: int) -> Polynomial:

@@ -134,30 +134,37 @@ _HALF_PI = math.pi / 2
 _REF_TOL = 1e-11  # tolerance of the reference integrals built on the rules
 
 
+def _steps(level: int) -> list[float]:
+    # the step parameters t that a level adds: k h for every k at level 0
+    # (h = 1), for the odd k at h = 2**-level after that
+    h, odd = 0.5**level, min(level, 1)
+    return [k * h for k in range(odd, int(_T_MAX / h) + 1, 1 + odd)]
+
+
 def _de_quadrature(f, nodes, tol: float, budget: int) -> QuadratureResult:
     """The double-exponential trapezoid rule (Takahasi & Mori, Publ. RIMS
-    9, 1974) over the nodes of one variable map: ``nodes(ts)`` yields
-    ``(x, w)`` for the step parameters ``ts``; each level halves h."""
+    9, 1974) over the nodes of one variable map: ``nodes(level)`` yields
+    ``(x, w)`` for the step parameters ``_steps(level)``; each level
+    halves h."""
     evals = 0
 
-    def level_sum(ts: list[float]) -> complex:
+    def level_sum(level: int) -> complex:
         nonlocal evals
         acc = 0j
-        for x, w in nodes(ts):
+        for x, w in nodes(level):
             v = complex(f(x))
             evals += 1
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            if not cmath.isfinite(v):
                 raise DomainError(f"integrand not finite at x = {x!r}")
             acc += w * v
         return acc
 
     h = 1.0
-    total = level_sum([k * h for k in range(0, int(_T_MAX / h) + 1)]) * h
+    total = level_sum(0) * h
     err = math.inf
-    for _ in range(_MAX_LEVEL):
+    for level in range(1, _MAX_LEVEL + 1):
         h /= 2
-        new = level_sum([k * h for k in range(1, int(_T_MAX / h) + 1, 2)])
-        refined = total / 2 + new * h
+        refined = total / 2 + level_sum(level) * h
         err = abs(refined - total)
         total = refined
         if err <= tol * max(1.0, abs(total)):
@@ -167,13 +174,8 @@ def _de_quadrature(f, nodes, tol: float, budget: int) -> QuadratureResult:
     return QuadratureResult(total, err, evals, False)
 
 
-def quad_tanh_sinh(
-    f,
-    a: float,
-    b: float,
-    tol: float = DEFAULT_QUAD_TOL,
-    budget: int = DEFAULT_QUAD_BUDGET,
-) -> QuadratureResult:
+def quad_tanh_sinh(f, a: float, b: float, tol: float = DEFAULT_QUAD_TOL,
+                   budget: int = DEFAULT_QUAD_BUDGET) -> QuadratureResult:
     """Integrate f over the finite interval (a, b), tanh-sinh map.
 
     Endpoints are never sampled, and abscissas approach them
@@ -190,8 +192,8 @@ def quad_tanh_sinh(
         raise ValueError("requires a < b")
     half = 0.5 * (b - a)
 
-    def nodes(ts: list[float]):
-        for t in ts:
+    def nodes(level: int):
+        for t in _steps(level):
             u = _HALF_PI * math.sinh(t)
             if u > 350.0:
                 continue  # weight underflows
@@ -207,26 +209,33 @@ def quad_tanh_sinh(
     return _de_quadrature(f, nodes, tol, budget)
 
 
-def quad_exp_sinh(
-    f,
-    a: float = 0.0,
-    tol: float = DEFAULT_QUAD_TOL,
-    budget: int = DEFAULT_QUAD_BUDGET,
-) -> QuadratureResult:
+#: level -> the (e^u, w) pairs of the exp-sinh rule, interleaved in one
+#: array("d"); they depend on neither f nor a, so each level is built once
+_EXP_SINH_NODES: list = [None] * (_MAX_LEVEL + 1)
+
+
+def _exp_sinh_nodes(level: int):
+    # |u| < 390 at |t| <= _T_MAX: no e^u overflows or reaches 0, no w is 0
+    pairs = _EXP_SINH_NODES[level]
+    if pairs is None:
+        from array import array  # imported here: only quadrature needs it
+        pairs = array("d")
+        for t in _steps(level):
+            for sgn in ((1.0,) if t == 0.0 else (1.0, -1.0)):
+                ex = math.exp(_HALF_PI * math.sinh(sgn * t))
+                pairs.extend((ex, _HALF_PI * math.cosh(t) * ex))
+        _EXP_SINH_NODES[level] = pairs
+    return pairs
+
+
+def quad_exp_sinh(f, a: float = 0.0, tol: float = DEFAULT_QUAD_TOL,
+                  budget: int = DEFAULT_QUAD_BUDGET) -> QuadratureResult:
     """Integrate f over (a, inf); f must decay at least exponentially."""
 
-    def nodes(ts: list[float]):
-        for t in ts:
-            for sgn in ((1.0,) if t == 0.0 else (1.0, -1.0)):
-                u = _HALF_PI * math.sinh(sgn * t)
-                if u > 690.0:
-                    continue  # abscissa overflows; decaying f contributes nothing
-                ex = math.exp(u)
-                if ex == 0.0:
-                    continue  # abscissa collapsed onto the endpoint
-                w = _HALF_PI * math.cosh(t) * ex
-                if w != 0.0:
-                    yield a + ex, w
+    def nodes(level: int):
+        pairs = iter(_exp_sinh_nodes(level))
+        for ex, w in zip(pairs, pairs):
+            yield a + ex, w
 
     return _de_quadrature(f, nodes, tol, budget)
 
@@ -263,21 +272,22 @@ def eta_integral_ref(s) -> QuadratureResult:
 
 def _reduced_integrand(power: complex, coeffs, k: int):
     """v -> exp(power log v - v) P(x) / (1 + e^{-v})**k at x = 1/(1+e^v),
-    for P with ``coeffs`` (constant term first). v**power e^{-v} is
-    folded into one exp so neither factor overflows."""
-    pc = [complex(c) for c in coeffs]
+    for P with real ``coeffs`` (constant term first). v**power e^{-v} is
+    folded into one exp so neither factor overflows. P(x) is summed in
+    floats: at x >= 0 a complex sum has the same bits, and imag +0.0."""
+    rc = [float(c) for c in reversed(coeffs)]
 
     def integrand(v: float) -> complex:
         e = math.exp(-v)
         x = e / (1.0 + e)
-        acc = 0j
-        for c in reversed(pc):
+        acc = 0.0
+        for c in rc:
             acc = acc * x + c
         try:
             scale = cmath.exp(power * cmath.log(v) - v)
         except ValueError as exc:  # an infinite phase: Im(power) beyond float range
             raise DomainError(f"integrand not finite at x = {v!r}") from exc
-        return scale * acc / (1.0 + e) ** k
+        return scale * complex(acc) / (1.0 + e) ** k
 
     return integrand
 

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammazeta import (
     SequenceTooShortError,
@@ -61,6 +63,22 @@ class TestPartialBell:
         with pytest.raises(SequenceTooShortError):
             partial_bell(6, 2, gamma_sequence(3))
 
+    @pytest.mark.parametrize("bell_value", [partial_bell, bell_by_partitions])
+    def test_negative_n_is_rejected(self, bell_value):
+        with pytest.raises(ValueError):
+            bell_value(-1, 1, gamma_sequence(3))
+
+    @pytest.mark.parametrize("bell_value", [partial_bell, bell_by_partitions])
+    def test_negative_k_is_rejected(self, bell_value):
+        with pytest.raises(ValueError):
+            bell_value(3, -1, gamma_sequence(3))
+
+    @pytest.mark.parametrize("bell_value", [partial_bell, bell_by_partitions])
+    def test_short_sequence_is_rejected(self, bell_value):
+        with pytest.raises(SequenceTooShortError):
+            bell_value(6, 2, gamma_sequence(4))
+        assert bell_value(6, 2, gamma_sequence(5)) == partial_bell(6, 2, gamma_sequence(5))
+
     def test_row_sums_of_ones_are_bell_numbers(self):
         # classical anchor: sum_k B_{n,k}(1,1,...) is the n-th Bell number
         ones = [Fraction(1)] * 10
@@ -77,6 +95,43 @@ class TestPartialBell:
             for k in range(1, n + 1):
                 expected = Fraction(comb(n - 1, k - 1) * factorial(n), factorial(k))
                 assert partial_bell(n, k, facts) == expected
+
+
+def _fraction_partial_bell(n, k, xs):
+    # the recurrence over a table of Fractions, as the package computed it
+    # before its kernels moved to integers
+    if k == 0 or n == 0:
+        return Fraction(int(n == 0 and k == 0))
+    xs = [Fraction(x) for x in xs]
+    prev = {0: Fraction(1)}
+    for j in range(1, k + 1):
+        cur = {}
+        for m in range(j, n - (k - j) + 1):
+            cur[m] = sum((comb(m - 1, i - 1) * xs[i - 1] * prev[m - i]
+                          for i in range(1, m - j + 2) if m - i in prev), Fraction(0))
+        prev = cur
+    return prev.get(n, Fraction(0))
+
+
+_BELL_TERMS = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-20, max_value=20, max_denominator=60),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 7))
+def test_integer_kernels_equal_the_fraction_recurrence(data, n):
+    # ints, Fractions and floats, zeros and negatives among them; every
+    # float is a rational, so the values are exact on both sides
+    k = data.draw(st.integers(1, n))
+    xs = data.draw(st.lists(st.one_of(_BELL_TERMS, st.just(0)),
+                            min_size=n - k + 1, max_size=n + 2))
+    expected = _fraction_partial_bell(n, k, xs)
+    assert partial_bell(n, k, xs) == expected
+    assert bell_by_partitions(n, k, xs) == expected
+    assert type(partial_bell(n, k, xs)) is Fraction
 
 
 class TestSeriesPow:

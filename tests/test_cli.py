@@ -279,6 +279,20 @@ class TestIntegralCheck:
         code, _ = run_cli(["integral-check", "--s", "1", "--n", "13"])
         assert code == cli.EXIT_USAGE
 
+    def test_oscillating_integrand_exhausts_every_level(self):
+        # at s = 32+32i the rule runs all its levels without converging
+        # (at 30+30i it converges): a budget error, one line, no traceback
+        proc = subprocess.run(
+            [sys.executable, "-m", "gammazeta", "integral-check", "--s", "32,32", "--n", "2"],
+            capture_output=True, text=True, env=_src_env(), timeout=60)
+        assert proc.returncode == cli.EXIT_BUDGET
+        assert proc.stdout == ""
+        assert proc.stderr == ("quadrature budget exceeded: quadrature stalled at error "
+                               "6.975e+22 after 50791 evaluations\n")
+        code, out = run_cli(["integral-check", "--s", "30,30", "--n", "2"])
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["payload"]["quadrature"]["converged"] is True
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_must_be_positive(self, budget):
         code, out = run_cli(["integral-check", "--s", "0.75", "--n", "2",

@@ -1,10 +1,11 @@
 """The shared factorial-series engine behind both expansions."""
 
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -228,12 +229,14 @@ def test_interrupted_weight_build_keeps_its_rows_in_place(monkeypatch):
 
 def test_deep_direct_rows_stay_small():
     # no exact kernel triangle is kept, for integer s or for the float
-    # weights: cached, it would take 867 and 198 MiB here
-    code = ("import resource\n"
-            "from gammazeta import zeta_expansion as ze\n"
+    # weights: cached, it would take 867 and 198 MiB here. The child reads
+    # its own peak, VmHWM: on Linux its ru_maxrss starts from the RSS of
+    # the process that forked it, here the whole test session
+    code = ("from gammazeta import zeta_expansion as ze\n"
             "for s, n in ((2, 1000), (1 + 1j, 600)):\n"
             "    ze.expansion_terms(s, n, 'direct')\n"
-            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")  # KiB
+            "    print(*[line.split()[1] for line in open('/proc/self/status')\n"
+            "            if line.startswith('VmHWM:')])\n")  # KiB
     src = str(Path(fs.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
@@ -293,6 +296,36 @@ def test_fixed_binomials_stay_within_their_bound(s, prec, n):
     for b in range(1, n):
         exact *= (b - 1 - s) / b
         assert abs(binom[b] - exact * 2**prec) <= bounds[b]
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.integers(0, 60), prec=st.integers(1, 80), n=st.integers(2, 80))
+def test_fixed_binomials_are_exact_at_integer_s(s, prec, n):
+    # every division is exact: B[b] = (-1)**b C(s, b) 2**prec, 0 beyond b = s
+    binom, bounds = fs._fixed_binomials(s, 1, n, prec)
+    assert binom == [(-1) ** b * comb(s, b) << prec for b in range(n)]
+    assert bounds == [0] * n
+
+
+@settings(max_examples=24, deadline=None)
+@given(side_name=st.sampled_from(("gamma", "zeta")), s=st.integers(1, 8),
+       n_terms=st.integers(2, 400))
+def test_direct_rows_stop_at_column_s_for_integer_s(side_name, s, n_terms):
+    # the binomials vanish beyond b = s, so the weight rows of the direct
+    # path hold at most s+1 entries, and the terms keep their bits
+    module = ge if side_name == "gamma" else ze
+    fixed_rows, widths = fs._fixed_rows, []
+
+    def spy(d, p, q, n, prec, width=math.inf):
+        for row in fixed_rows(d, p, q, n, prec, width):
+            widths.append(len(row))
+            yield row
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fs, "_fixed_rows", spy)
+        direct = module.expansion_terms(Fraction(s), n_terms, "direct")
+    assert widths and max(widths) <= s + 1
+    assert _bits(direct) == _bits(module.expansion_terms(Fraction(s), n_terms, "recurrence"))
 
 
 def test_interval_rounding_compares_bit_patterns():

@@ -92,6 +92,20 @@ class TestGeneratingFunction:
     def test_order_eight_example(self):
         assert ml.ml_poly_from_generating_function(8) == ml.ml_poly(8)
 
+    def test_integer_route_equals_the_fraction_cauchy_product(self):
+        # the product of the binomial series of (1+t)**x and (1-t)**(-x)
+        # over Fractions, one factor 1/i per step, as it was computed
+        # before the route moved to integer polynomials
+        for n in range(15):
+            plus, minus = [Polynomial.one()], [Polynomial.one()]
+            for i in range(1, n + 1):
+                plus.append(plus[i - 1] * Polynomial((-(i - 1), 1)) * Fraction(1, i))
+                minus.append(minus[i - 1] * Polynomial((i - 1, 1)) * Fraction(1, i))
+            expected = Polynomial.zero()
+            for i in range(n + 1):
+                expected = expected + plus[i] * minus[n - i]
+            assert ml.generating_function_coeff(n) == expected, n
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ml.generating_function_coeff(-1)

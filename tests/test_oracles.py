@@ -1,5 +1,6 @@
 """Reference oracles: Lanczos Gamma, Borwein eta, quadrature, identities."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from gammazeta import (
     quad_tanh_sinh,
     zeta_ref,
 )
+from gammazeta import oracles
 from gammazeta.oracles import integrated_by_parts_form
 
 
@@ -122,6 +124,55 @@ class TestQuadrature:
     def test_nonfinite_integrand_rejected(self):
         with pytest.raises(DomainError):
             quad_tanh_sinh(lambda u: float("nan"), 0.0, 1.0)
+
+    def test_exp_sinh_nodes_are_the_map_at_each_level(self):
+        # the cached (e^u, w) pairs are, bit for bit, the nodes of the map
+        # at the step parameters of their level, each level built once
+        for level in range(oracles._MAX_LEVEL + 1):
+            h = 0.5**level
+            first, step = (0, 1) if level == 0 else (1, 2)
+            ts = [k * h for k in range(first, int(oracles._T_MAX / h) + 1, step)]
+            expected = []
+            for t in ts:
+                for sgn in ((1.0,) if t == 0.0 else (1.0, -1.0)):
+                    ex = math.exp(math.pi / 2 * math.sinh(sgn * t))
+                    w = math.pi / 2 * math.cosh(t) * ex
+                    assert 0.0 < ex < math.inf and w > 0.0
+                    expected += [ex.hex(), w.hex()]
+            pairs = oracles._exp_sinh_nodes(level)
+            assert [x.hex() for x in pairs] == expected
+            assert oracles._exp_sinh_nodes(level) is pairs
+
+    def test_reduced_integrand_keeps_the_bits_of_a_complex_horner_sum(self):
+        # P(x) summed in floats equals, bit for bit, the complex sum it
+        # replaced, out to x = 0 where e^{-v} underflows
+        from gammazeta.derivative_polynomials import reduced_polynomial
+
+        rng = random.Random(5)
+        vs = [rng.uniform(0.0, 80.0) for _ in range(300)] + [1e-300, 1e-8, 745.0, 800.0]
+        for n in (0, 1, 5, 12):
+            coeffs = reduced_polynomial(n).coeffs
+            for power, k in ((0.75 + n, 2), (complex(1.5, -2.0) + n, 1)):
+                integrand = oracles._reduced_integrand(power, coeffs, k)
+                for v in vs:
+                    e = math.exp(-v)
+                    x = e / (1.0 + e)
+                    acc = 0j
+                    for c in reversed([complex(c) for c in coeffs]):
+                        acc = acc * x + c
+                    scale = cmath.exp(power * cmath.log(v) - v)
+                    want = scale * acc / (1.0 + e) ** k
+                    got = integrand(v)
+                    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    def test_exp_sinh_shifts_its_nodes_by_the_endpoint(self):
+        # the cache holds the nodes for a = 0; a shifted integrand gives
+        # the same sum at a = 1, node for node
+        at_zero = quad_exp_sinh(lambda t: math.exp(-t - 1.0), 0.0)
+        at_one = quad_exp_sinh(lambda t: math.exp(-t), 1.0)
+        assert at_one.evaluations == at_zero.evaluations
+        assert at_one.value == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert at_zero.value == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 class TestDefiningIntegrals:
