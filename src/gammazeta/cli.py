@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import (
     combinatorics as comb,
@@ -52,6 +51,12 @@ MAX_S_DIGITS = 1000
 # cap on verify --depth: several checks loop to the full depth, and the
 # work grows faster than depth**4 (verify all: 3.2 s at 128, 30 s at 256)
 MAX_DEPTH = 128
+# verify.suite_names(), verify.DEFAULT_SEED and the quadrature defaults of
+# oracles, written out so that building the parser runs neither module
+VERIFY_SUITES = ("stirling", "bell", "c", "ml", "b", "poly", "oracle", "integral")
+DEFAULT_SEED = 20214097
+DEFAULT_QUAD_TOL = 1e-10
+DEFAULT_QUAD_BUDGET = 2_000_000
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -66,6 +71,8 @@ class UsageError(Exception):
 
 
 def _parse_decimal(text: str) -> Fraction:
+    from fractions import Fraction  # imported here: --help and tables parse no --s
+
     # decimal literals only; Fraction would also take "p/q", which the
     # flag contract does not admit
     if "/" in text:
@@ -94,7 +101,7 @@ def parse_complex_flag(text: str, positive_re: bool = False):
         raise UsageError(f"cannot parse complex value {text!r}; use RE or RE,IM")
     try:
         re = _parse_decimal(parts[0].strip())
-        im = _parse_decimal(parts[1].strip()) if len(parts) == 2 else Fraction(0)
+        im = _parse_decimal(parts[1].strip()) if len(parts) == 2 else 0
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse complex value {text!r}: {exc}") from exc
     if im == 0:
@@ -124,10 +131,11 @@ def _complex_payload(z: complex) -> dict:
 
 # ------------------------------------------------------------------- tables
 
-# coeff_table is looked up per call, so a wrapper (perfbench's tracer) runs
+# each module is read per call, so a wrapper (perfbench's tracer) runs
+# and only the module of the family asked for executes
 TABLE_ROWS = {
-    "stirling1": comb.STIRLING1.rows,
-    "stirling2": comb.STIRLING2.rows,
+    "stirling1": lambda m: comb.STIRLING1.rows(m),
+    "stirling2": lambda m: comb.STIRLING2.rows(m),
     # row n >= 1 lists A(n,0..n-1); the stored A(n,n) = 0 is left out
     "eulerian": lambda m: [r[: max(n, 1)] for n, r in enumerate(comb.EULERIAN.rows(m))],
     "c": lambda m: gamma_expansion.coeff_table(m),
@@ -359,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("suite", choices=("all",) + tuple(verify_mod.suite_names()))
+    p.add_argument("suite", choices=("all",) + VERIFY_SUITES)
     p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED,
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for the randomized property checks")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
@@ -370,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check the reduced-polynomial integral identity")
     p.add_argument("--s", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=oracles.DEFAULT_QUAD_TOL)
-    p.add_argument("--budget", type=int, default=oracles.DEFAULT_QUAD_BUDGET,
+    p.add_argument("--tol", type=float, default=DEFAULT_QUAD_TOL)
+    p.add_argument("--budget", type=int, default=DEFAULT_QUAD_BUDGET,
                    help="cap on integrand evaluations")
     p.set_defaults(func=cmd_integral_check)
 

@@ -41,7 +41,8 @@ rounded, from the first of three tiers that can vouch for it:
    kept when both ends of the interval round to the same double. P is
    chosen from the bound of the last row plus 53 bits and a guard. At
    integer s >= 0 the direct path's binomials C(s, b) are exact and 0
-   beyond b = s, so its weight rows stop at column s.
+   beyond b = s, as are the recurrence path's summands, so the rows of
+   either path stop at column s.
 2. The same at 2P, then 4P, for the terms still open (Ziv's loop: Ziv,
    ACM TOMS 17(3), 1991; Brent & Zimmermann, Modern Computer
    Arithmetic, ch. 3-4).
@@ -259,15 +260,17 @@ def _fixed_terms(side: Side, p: int, q: int, n: int, path: str, prec: int):
     float, or None where the interval at precision ``prec`` does not
     round to a single double."""
     d = side.stride
+    # at integer s >= 0 both paths keep columns 0..s: the binomials are
+    # exact zeros beyond b = s, and so are the summands, whose factor
+    # s-b+1 is 0 at b = s+1 (every later entry reads only zeros)
+    width = p + 1 if q == 1 and p >= 0 else inf
     if path == "direct":
         binom, binom_err = _fixed_binomials(p, q, n, prec)
         binom_mass = list(accumulate(map(abs, binom)))  # sum_{b<=a} |B[b]|
-        # the weight rows are the summand rows at s = -1: (-1)**b w[r,b],
-        # cut where the binomials become exact zeros (beyond b = s >= 0)
-        width = next((b for b in range(n) if binom[b] == 0 == binom_err[b]), inf)
+        # the weight rows are the summand rows at s = -1: (-1)**b w[r,b]
         rows, bounds = _fixed_rows(d, -1, 1, n, prec, width), _row_bounds(d, -1, 1, n)
     else:
-        rows, bounds = _fixed_rows(d, p, q, n, prec), _row_bounds(d, p, q, n)
+        rows, bounds = _fixed_rows(d, p, q, n, prec, width), _row_bounds(d, p, q, n)
     for a, row in enumerate(rows, 1):
         if path == "direct":
             # fixed-point weight W and binomial B with error bounds e_W, e_B:

@@ -35,8 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from . import factorial_series as fs, oracles
-from .bell import TruncatedSeries
+from . import bell, factorial_series as fs, oracles
 from .combinatorics import binomial, stirling1
 from .report import DomainError, PoleProximityError, SeriesReport
 
@@ -117,12 +116,12 @@ def partial_sums(s, n_terms: int, path: str = "direct") -> list[complex]:
     return fs.running_sums(expansion_terms(s, n_terms, path))
 
 
-def integrand_coeffs(s, order: int) -> TruncatedSeries:
+def integrand_coeffs(s, order: int) -> bell.TruncatedSeries:
     """Coefficients A_a(s) of t**a in (1 + t/2 + t**2/3 + ...)**s.
 
     Exact Fractions for rational s, complex otherwise. A_0 = 1.
     """
-    return TruncatedSeries(fs.coefficients(SIDE, s, order))
+    return bell.TruncatedSeries(fs.coefficients(SIDE, s, order))
 
 
 def reference_value(s) -> complex:

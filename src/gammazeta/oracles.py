@@ -13,8 +13,8 @@ import cmath
 import math
 from typing import NamedTuple
 
+from . import derivative_polynomials as dpoly
 from .combinatorics import rising_factorial
-from .derivative_polynomials import derivative_polynomial, reduced_polynomial
 from .report import BudgetExceededError, DomainError, PoleProximityError
 
 # Godfrey's Lanczos coefficient set: g = 607/128, 15 coefficients.
@@ -304,7 +304,7 @@ def integrated_by_parts_form(s, n: int) -> QuadratureResult:
     s = complex(s)
     if s.real <= 0:
         raise DomainError("requires Re(s) > 0")
-    reduced = derivative_polynomial(n + 2).shift_down()  # Q_{n+2}(x)/x
+    reduced = dpoly.derivative_polynomial(n + 2).shift_down()  # Q_{n+2}(x)/x
     # e^t * Q(x) = e^t x * (Q(x)/x) = (Q(x)/x)/(1+e^{-t})
     integrand = _reduced_integrand(s + n, reduced.coeffs, 1)
     res = quad_exp_sinh(integrand, 0.0, tol=_REF_TOL)
@@ -346,7 +346,7 @@ def integral_identity_check(s, n: int, tol: float = DEFAULT_QUAD_TOL,
         raise DomainError("Re(s) > 0 rounds to 0.0, below the float range")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    integrand = _reduced_integrand(s + n, reduced_polynomial(n).coeffs, 2)
+    integrand = _reduced_integrand(s + n, dpoly.reduced_polynomial(n).coeffs, 2)
     quad = quad_exp_sinh(integrand, 0.0, tol=tol, budget=budget)
     if not quad.converged:
         raise BudgetExceededError(

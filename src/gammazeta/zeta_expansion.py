@@ -42,10 +42,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, inf
 
-from . import factorial_series as fs, oracles
-from .bell import TruncatedSeries
+from . import bell, factorial_series as fs, mittag_leffler, oracles
 from .combinatorics import binomial
-from .mittag_leffler import coeff as ml_coeff
 from .report import DefectError, DomainError, SeriesReport
 
 #: the zeta side of the factorial-series engine (row stride 2); even
@@ -74,7 +72,7 @@ def coeff_direct(alpha: int, beta: int) -> int:
         raise ValueError("indices must be nonnegative")
     acc = Fraction(0)
     for j in range(beta + 1):
-        a = ml_coeff(alpha + beta - j, beta - j)
+        a = mittag_leffler.coeff(alpha + beta - j, beta - j)
         if a == 0:
             continue
         term = Fraction(binomial(alpha + beta, j) * a, 2 ** (beta - j))
@@ -131,13 +129,13 @@ def partial_sums(s, n_terms: int, path: str = "direct") -> list[complex]:
     return fs.running_sums(expansion_terms(s, n_terms, path))
 
 
-def log_ratio_coeffs(r, order: int) -> TruncatedSeries:
+def log_ratio_coeffs(r, order: int) -> bell.TruncatedSeries:
     """Coefficients of (1-2x)**(2n) in (1 + (1-2x)**2/3 + ...)**r.
 
     Entry n of the result multiplies (1-2x)**(2n); entry 0 is 1. Exact
     Fractions for rational r, complex otherwise.
     """
-    return TruncatedSeries(fs.coefficients(SIDE, r, order))
+    return bell.TruncatedSeries(fs.coefficients(SIDE, r, order))
 
 
 def reference_value(s) -> complex:

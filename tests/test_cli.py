@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammazeta import cli
+from gammazeta import cli, oracles
 from gammazeta import verify as verify_mod
 
 
@@ -342,6 +342,63 @@ def test_import_does_not_load_dataclasses():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_parser_constants_match_their_modules():
+    # written out in cli so that building the parser runs neither module
+    assert cli.VERIFY_SUITES == tuple(verify_mod.suite_names())
+    assert cli.DEFAULT_SEED == verify_mod.DEFAULT_SEED
+    assert cli.DEFAULT_QUAD_TOL == oracles.DEFAULT_QUAD_TOL
+    assert cli.DEFAULT_QUAD_BUDGET == oracles.DEFAULT_QUAD_BUDGET
+
+
+_HELP = """\
+usage: gammazeta [-h] {tables,eval,converge,verify,integral-check} ...
+
+Exact coefficient triangles and factorial series expansions of Gamma(s+1) and
+eta(s)Gamma(s), with verification suites.
+
+positional arguments:
+  {tables,eval,converge,verify,integral-check}
+    tables              emit a coefficient triangle
+    eval                evaluate a truncated expansion
+    converge            sample convergence of an expansion
+    verify              run verification suites
+    integral-check      check the reduced-polynomial integral identity
+
+options:
+  -h, --help            show this help message and exit
+"""
+_VERIFY_USAGE = """\
+usage: gammazeta verify [-h] [--depth DEPTH] [--seed SEED]
+                        [--format {text,json}]
+                        {all,stirling,bell,c,ml,b,poly,oracle,integral}
+"""
+_VERIFY_HELP = _VERIFY_USAGE + """
+positional arguments:
+  {all,stirling,bell,c,ml,b,poly,oracle,integral}
+
+options:
+  -h, --help            show this help message and exit
+  --depth DEPTH
+  --seed SEED           seed for the randomized property checks
+  --format {text,json}
+"""
+_BAD_SUITE = _VERIFY_USAGE + (
+    "gammazeta verify: error: argument suite: invalid choice: 'nosuch' (choose from "
+    "'all', 'stirling', 'bell', 'c', 'ml', 'b', 'poly', 'oracle', 'integral')\n")
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["--help"], 0, _HELP, ""),
+    (["verify", "--help"], 0, _VERIFY_HELP, ""),
+    (["verify", "nosuch"], 2, "", _BAD_SUITE),
+])
+def test_help_and_usage_text_byte_for_byte(argv, code, out, err):
+    env = {**_src_env(), "COLUMNS": "80"}
+    proc = subprocess.run([sys.executable, "-S", "-m", "gammazeta", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 @pytest.mark.parametrize("text", [

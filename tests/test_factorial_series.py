@@ -311,8 +311,9 @@ def test_fixed_binomials_are_exact_at_integer_s(s, prec, n):
 @given(side_name=st.sampled_from(("gamma", "zeta")), s=st.integers(1, 8),
        n_terms=st.integers(2, 400))
 def test_direct_rows_stop_at_column_s_for_integer_s(side_name, s, n_terms):
-    # the binomials vanish beyond b = s, so the weight rows of the direct
-    # path hold at most s+1 entries, and the terms keep their bits
+    # the binomials and the summands vanish beyond b = s, so the fixed-point
+    # rows of either path hold at most s+1 entries, and the terms keep the
+    # bits of the exact tier
     module = ge if side_name == "gamma" else ze
     fixed_rows, widths = fs._fixed_rows, []
 
@@ -322,10 +323,15 @@ def test_direct_rows_stop_at_column_s_for_integer_s(side_name, s, n_terms):
             yield row
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fs, "_fixed_rows", spy)
-        direct = module.expansion_terms(Fraction(s), n_terms, "direct")
-    assert widths and max(widths) <= s + 1
-    assert _bits(direct) == _bits(module.expansion_terms(Fraction(s), n_terms, "recurrence"))
+        patch.setattr(fs, "_fixed_terms", lambda side, p, q, n, *_: [None] * (n - 1))
+        exact = _bits(module.expansion_terms(Fraction(s), n_terms, "direct"))
+    for path in ("direct", "recurrence"):
+        widths.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fs, "_fixed_rows", spy)
+            terms = module.expansion_terms(Fraction(s), n_terms, path)
+        assert widths and max(widths) <= s + 1, path
+        assert _bits(terms) == exact, path
 
 
 def test_interval_rounding_compares_bit_patterns():
