@@ -42,6 +42,9 @@ _EXPORTS = {
                "PoleProximityError", "SeriesReport"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+# the submodules that __all__ lists by their own name
+_MODULES = ("gamma_expansion", "mittag_leffler", "verify", "zeta_expansion")
+__all__ = sorted([*_HOME, *_MODULES])
 
 
 def _register(name: str):
@@ -57,8 +60,7 @@ def _register(name: str):
 
 
 # every submodule but cli and __main__, which the command line imports itself
-for _name in (*_EXPORTS, "factorial_series", "gamma_expansion", "mittag_leffler",
-              "verify", "zeta_expansion"):
+for _name in (*_EXPORTS, "factorial_series", *_MODULES):
     globals()[_name] = _register(_name)
 del _name
 
@@ -73,46 +75,3 @@ def __getattr__(name: str):
 def __dir__():
     return sorted({*globals(), *__all__})
 
-
-__all__ = [
-    "BudgetExceededError",
-    "DefectError",
-    "DomainError",
-    "GaussianRational",
-    "IdentityCheckReport",
-    "PoleProximityError",
-    "Polynomial",
-    "QuadratureResult",
-    "SequenceTooShortError",
-    "SeriesReport",
-    "TruncatedSeries",
-    "bell_by_partitions",
-    "binomial",
-    "derivative_polynomial",
-    "double_factorial_odd",
-    "eta_integral_ref",
-    "eta_ref",
-    "eulerian",
-    "factorial",
-    "falling_factorial",
-    "gamma_expansion",
-    "gamma_integral_ref",
-    "gamma_ref",
-    "integral_identity_check",
-    "interlacing_check",
-    "mittag_leffler",
-    "partial_bell",
-    "potential_poly",
-    "quad_exp_sinh",
-    "quad_tanh_sinh",
-    "reduced_polynomial",
-    "riccati_derivative",
-    "rising_factorial",
-    "roots_in_unit_interval",
-    "series_pow",
-    "stirling1",
-    "stirling2",
-    "verify",
-    "zeta_expansion",
-    "zeta_ref",
-]

@@ -297,13 +297,13 @@ def cmd_verify(args, out) -> int:
 # ----------------------------------------------------------- integral-check
 
 def cmd_integral_check(args, out) -> int:
-    s = parse_complex_flag(args.s, positive_re=True)
     if not 0 <= args.n <= 12:
         raise UsageError("--n must lie in 0..12")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise UsageError("--tol must be a finite number > 0")
     if args.budget < 1:
         raise UsageError("--budget must be >= 1")
+    s = parse_complex_flag(args.s, positive_re=True)
     report = oracles.integral_identity_check(s, args.n, tol=args.tol, budget=args.budget)
     payload = {
         "s": _complex_payload(report.s),

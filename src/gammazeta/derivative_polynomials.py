@@ -72,21 +72,21 @@ def _q_stirling(n: int) -> Polynomial:
 
 
 def derivative_polynomial(n: int) -> Polynomial:
-    """Q_n for the logistic-decay case, n >= 2.
+    """Q_n for the logistic-decay case, n >= 2, as x(x-1) P_{n-2}.
 
-    Computes both closed forms and refuses to return a value on which
-    they disagree.
+    :func:`reduced_polynomial` has checked that product against the
+    Stirling form of Q_n, so a disagreement of the closed forms raises
+    its DefectError here too.
     """
     if n < 2:
         raise ValueError("defined for n >= 2")
-    from_eulerian = _X * _X_MINUS_1 * _eulerian_form(n - 1, _X, _X_MINUS_1)
-    if from_eulerian != _q_stirling(n):
-        raise DefectError(f"Q_{n}: Eulerian and Stirling closed forms disagree")
-    return from_eulerian
+    return _X * _X_MINUS_1 * reduced_polynomial(n - 2)
 
 
+@cache
 def reduced_polynomial(n: int) -> Polynomial:
-    """P_n = Q_{n+2} / (x(x-1)), degree n, built from its Eulerian form.
+    """P_n = Q_{n+2} / (x(x-1)), degree n, built from its Eulerian form
+    once per process.
 
     The divisibility is re-derived, not assumed: x(x-1) P_n must equal
     the Stirling form of Q_{n+2}, else a defect is raised.

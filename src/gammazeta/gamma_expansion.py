@@ -99,13 +99,11 @@ def expansion_terms(s, n_terms: int, path: str = "direct") -> list[complex]:
     """
     fs.check_request(n_terms, path)
     frac = fs.as_fraction(s)
+    if s.real <= -1:
+        raise DomainError("expansion requires Re(s) > -1")
     if frac is not None:
-        if frac <= -1:
-            raise DomainError("expansion requires Re(s) > -1")
         return fs.exact_terms(SIDE, frac, n_terms, path)
     sc = complex(s)
-    if sc.real <= -1:
-        raise DomainError("expansion requires Re(s) > -1")
     if abs(sc + 1) < POLE_TOLERANCE:
         raise PoleProximityError("denominator s+1 vanishes")
     return fs.float_terms(SIDE, sc, n_terms, path)

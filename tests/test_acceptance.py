@@ -12,6 +12,7 @@ import sys
 import time
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 from gammazeta import (
     TruncatedSeries,
@@ -33,6 +34,29 @@ from gammazeta.cli import main as cli_main
 from gammazeta.polynomials import GaussianRational, Polynomial
 
 SAMPLED_TRUNCATIONS = range(50, 401, 50)
+RESULTS = Path(__file__).resolve().parents[1] / "RESULTS.md"
+# the RESULTS.md columns (50, 100, 200, 400 terms) as indices into SAMPLED_TRUNCATIONS
+PRINTED_COLUMNS = (0, 1, 3, 7)
+
+
+def printed_errors(heading: str) -> dict[float, list[str]]:
+    """The cells of the RESULTS.md table under ``## heading``: s -> the
+    relative errors printed for 50, 100, 200 and 400 terms."""
+    section = next(part for part in RESULTS.read_text().split("\n## ")
+                   if part.startswith(heading))
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("|") and cells[0][:1].isdigit():
+            rows[float(cells[0])] = cells[1:]
+    return rows
+
+
+def mismatched_cells(printed: list[str], errors: list[float]) -> list[str]:
+    """The printed cells that the measured errors, at three significant
+    digits, do not reproduce."""
+    measured = [f"{errors[i]:.2e}" for i in PRINTED_COLUMNS]
+    return [f"{p} != {m}" for p, m in zip(printed, measured) if p != m]
 
 
 def criterion(num: int, description: str, ok: bool, detail: str = ""):
@@ -187,6 +211,8 @@ def _series_term_oracle_gamma(s: Fraction, count: int) -> list[float]:
 def test_criterion_5_gamma_expansion_behavior(capsys):
     details = []
     ok = True
+    printed = printed_errors("Gamma(s+1)")
+    assert sorted(printed) == [0.5, 1.0, 1.5]
     for s in (0.5, 1.0, 1.5):
         frac = Fraction(s)
         oracle = _series_term_oracle_gamma(frac, 30)
@@ -202,12 +228,15 @@ def test_criterion_5_gamma_expansion_behavior(capsys):
         ]
         monotone = all(b < a for a, b in zip(errors, errors[1:]))
         halved = errors[-1] <= errors[0] / 2
-        ok = ok and monotone and halved
+        mismatched = mismatched_cells(printed[s], errors)
+        ok = ok and monotone and halved and not mismatched
         details.append(f"s={s}: err50={errors[0]:.3e} err400={errors[-1]:.3e}")
+        details.extend(f"s={s}: RESULTS.md {cell}" for cell in mismatched)
     with capsys.disabled():
         criterion(
             5,
-            "Gamma partial sums close in monotonically, error halves by 400 terms",
+            "Gamma partial sums close in monotonically, error halves by 400 terms, "
+            "RESULTS.md reproduces",
             ok,
             "; ".join(details),
         )
@@ -216,6 +245,8 @@ def test_criterion_5_gamma_expansion_behavior(capsys):
 def test_criterion_6_zeta_expansion_behavior(capsys):
     details = []
     ok = True
+    printed = printed_errors("eta(s)Gamma(s)")
+    assert sorted(printed) == [0.75, 1.0, 2.0]
     for s in (0.75, 1.0, 2.0):
         frac = Fraction(s)
         direct = ze.partial_sums(frac, 400, "direct")
@@ -230,12 +261,15 @@ def test_criterion_6_zeta_expansion_behavior(capsys):
             errors.append(abs(d - target) / abs(target))
         monotone = all(b < a for a, b in zip(errors, errors[1:]))
         halved = errors[-1] <= errors[0] / 2
-        ok = ok and paths_ok and monotone and halved
+        mismatched = mismatched_cells(printed[s], errors)
+        ok = ok and paths_ok and monotone and halved and not mismatched
         details.append(f"s={s}: err50={errors[0]:.3e} err400={errors[-1]:.3e}")
+        details.extend(f"s={s}: RESULTS.md {cell}" for cell in mismatched)
     with capsys.disabled():
         criterion(
             6,
-            "zeta partial sums close in on eta(s)Gamma(s); paths agree to 1e-12",
+            "zeta partial sums close in on eta(s)Gamma(s); paths agree to 1e-12; "
+            "RESULTS.md reproduces",
             ok,
             "; ".join(details),
         )

@@ -278,6 +278,9 @@ class TestIntegralCheck:
     def test_n_cap(self):
         code, _ = run_cli(["integral-check", "--s", "1", "--n", "13"])
         assert code == cli.EXIT_USAGE
+        # the caps are checked before --s, whose real part rounds to 0.0
+        code, _ = run_cli(["integral-check", "--s", "1e-400,1", "--n", "99"])
+        assert code == cli.EXIT_USAGE
 
     def test_oscillating_integrand_exhausts_every_level(self):
         # at s = 32+32i the rule runs all its levels without converging

@@ -1,6 +1,7 @@
 """The package namespace: lazy submodules, the names of ``__all__``, and
 which modules each CLI command executes."""
 
+import collections
 import json
 import os
 import subprocess
@@ -11,6 +12,20 @@ from pathlib import Path
 import pytest
 
 import gammazeta
+
+# the public surface, in the order ``__all__`` lists it
+PUBLIC_NAMES = [
+    "BudgetExceededError", "DefectError", "DomainError", "GaussianRational",
+    "IdentityCheckReport", "PoleProximityError", "Polynomial", "QuadratureResult",
+    "SequenceTooShortError", "SeriesReport", "TruncatedSeries", "bell_by_partitions",
+    "binomial", "derivative_polynomial", "double_factorial_odd", "eta_integral_ref",
+    "eta_ref", "eulerian", "factorial", "falling_factorial", "gamma_expansion",
+    "gamma_integral_ref", "gamma_ref", "integral_identity_check", "interlacing_check",
+    "mittag_leffler", "partial_bell", "potential_poly", "quad_exp_sinh", "quad_tanh_sinh",
+    "reduced_polynomial", "riccati_derivative", "rising_factorial",
+    "roots_in_unit_interval", "series_pow", "stirling1", "stirling2", "verify",
+    "zeta_expansion", "zeta_ref",
+]
 
 # the submodules that ``import gammazeta`` registers (all but cli and __main__)
 SUBMODULES = {
@@ -108,3 +123,29 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         gammazeta.no_such_name  # noqa: B018
     assert not hasattr(gammazeta, "cli_main")
+
+
+def test_public_surface_is_pinned():
+    assert gammazeta.__all__ == PUBLIC_NAMES
+
+
+def test_each_reduced_polynomial_is_built_once(monkeypatch):
+    # Q_n is x(x-1) P_{n-2}, so the poly suite and the integral identities
+    # build the Eulerian form of each P_n once; Riccati's own x and x-1
+    # are other objects and are not counted
+    dpoly = gammazeta.derivative_polynomials
+    builds = collections.Counter()
+    build = dpoly._eulerian_form
+
+    def spy(n, xa, xb):
+        if xa is dpoly._X and xb is dpoly._X_MINUS_1:
+            builds[n] += 1
+        return build(n, xa, xb)
+
+    monkeypatch.setattr(dpoly, "_eulerian_form", spy)
+    dpoly.reduced_polynomial.cache_clear()
+    dpoly.reduced_brackets.cache_clear()
+    assert all(r.passed for r in gammazeta.verify.run_suite("poly", 12))
+    for n in range(13):
+        gammazeta.integral_identity_check(1.5, n)
+    assert builds == {n + 1: 1 for n in range(14)}  # P_0..P_13
