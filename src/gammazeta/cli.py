@@ -4,9 +4,10 @@ convergence studies, integral checks, and the verification suites.
 Exit codes are a stable contract:
     0    success
     1    verification failure
-    2    usage error (including --terms or --max-terms above MAX_TERMS,
-         verify --depth above MAX_DEPTH, and an --s component whose
-         digit count plus |exponent| is above MAX_S_DIGITS)
+    2    usage error (including tables --max above MAX_TABLE_ROW,
+         --terms or --max-terms above MAX_TERMS, verify --depth above
+         MAX_DEPTH, and an --s component whose digit count plus
+         |exponent| is above MAX_S_DIGITS)
     3    numeric-domain error (poles, out-of-domain arguments)
     4    quadrature budget exceeded
     141  the reader of stdout closed it early, as in ``| head``; nothing
@@ -36,27 +37,23 @@ from . import (
     verify as verify_mod,
     zeta_expansion,
 )
-from .report import BudgetExceededError, DomainError
+from .report import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, DEFAULT_SEED, VERIFY_SUITES,
+                     BudgetExceededError, DomainError)
 
 SCHEMA_VERSION = "1.0"
-DEFAULT_TABLE_CAP = 64
-# cap on --terms and --max-terms, which bounds time: at 1000 terms the
-# slowest case with a short s is rational s on the direct path (gamma 3/2:
-# ~1.3 s); complex s takes ~0.35 s on either path
+# cap on tables --max: the output and the time grow much faster than
+# the row count (the README gives the figures)
+MAX_TABLE_ROW = 64
+# cap on --terms and --max-terms, which bounds time: at the cap the
+# slowest case with a short s is rational s on the direct path
 MAX_TERMS = 1000
 # cap on the digit count plus |exponent| of each --s component: Fraction
 # builds 10**|exponent| exactly, and the exact backend's work grows with
-# the size of s (eval gamma --s 1e-999 --terms 1000 --path recurrence: 3.9 s)
+# the size of s
 MAX_S_DIGITS = 1000
 # cap on verify --depth: several checks loop to the full depth, and the
-# work grows faster than depth**4 (verify all: 3.2 s at 128, 30 s at 256)
+# work grows faster than depth**4
 MAX_DEPTH = 128
-# verify.suite_names(), verify.DEFAULT_SEED and the quadrature defaults of
-# oracles, written out so that building the parser runs neither module
-VERIFY_SUITES = ("stirling", "bell", "c", "ml", "b", "poly", "oracle", "integral")
-DEFAULT_SEED = 20214097
-DEFAULT_QUAD_TOL = 1e-10
-DEFAULT_QUAD_BUDGET = 2_000_000
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -148,8 +145,8 @@ TABLE_FAMILIES = tuple(TABLE_ROWS)
 def cmd_tables(args, out) -> int:
     if args.max_row < 0:
         raise UsageError("--max must be nonnegative")
-    if args.max_row > args.cap:
-        raise UsageError(f"--max {args.max_row} exceeds the cap {args.cap}")
+    if args.max_row > MAX_TABLE_ROW:
+        raise UsageError(f"--max {args.max_row} exceeds the cap {MAX_TABLE_ROW}")
     rows = TABLE_ROWS[args.family](args.max_row)
     if args.format == "csv":
         out.write("row,col,value\n")
@@ -344,9 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="emit a coefficient triangle")
     p.add_argument("family", choices=TABLE_FAMILIES)
     p.add_argument("--max", dest="max_row", type=int, required=True,
-                   help="largest row index to emit")
-    p.add_argument("--cap", type=int, default=DEFAULT_TABLE_CAP,
-                   help="safety cap on --max (default 64)")
+                   help=f"largest row index to emit (at most {MAX_TABLE_ROW})")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_tables)
 

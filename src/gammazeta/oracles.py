@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 from . import derivative_polynomials as dpoly
 from .combinatorics import rising_factorial
-from .report import BudgetExceededError, DomainError, PoleProximityError
+from .report import (DEFAULT_QUAD_BUDGET, DEFAULT_QUAD_TOL, BudgetExceededError,
+                     DomainError, PoleProximityError)
 
 # Godfrey's Lanczos coefficient set: g = 607/128, 15 coefficients.
 _LANCZOS_G = 607.0 / 128.0
@@ -126,8 +127,6 @@ class QuadratureResult(NamedTuple):
     converged: bool
 
 
-DEFAULT_QUAD_TOL = 1e-10
-DEFAULT_QUAD_BUDGET = 2_000_000
 _T_MAX = 6.2  # node weights underflow beyond this in either map
 _MAX_LEVEL = 12  # halvings of the step h before a rule gives up
 _HALF_PI = math.pi / 2

@@ -4,6 +4,14 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+#: the verify suites in run order, the seed of their randomized checks,
+#: and the defaults of the quadrature rules; kept here, where the parser
+#: reads them without running verify or oracles
+VERIFY_SUITES = ("stirling", "bell", "c", "ml", "b", "poly", "oracle", "integral")
+DEFAULT_SEED = 20214097
+DEFAULT_QUAD_TOL = 1e-10
+DEFAULT_QUAD_BUDGET = 2_000_000
+
 
 class DomainError(ValueError):
     """Argument outside the numeric domain an operation supports."""

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammazeta import cli, oracles
+from gammazeta import cli
 from gammazeta import verify as verify_mod
+from gammazeta.report import VERIFY_SUITES
 
 
 def run_cli(argv):
@@ -103,11 +104,16 @@ class TestTables:
         two = run_cli(["tables", "b", "--max", "8", "--format", "json"])
         assert one == two
 
-    def test_cap_enforced(self):
-        code, _ = run_cli(["tables", "c", "--max", "100"])
-        assert code == cli.EXIT_USAGE
-        code, _ = run_cli(["tables", "c", "--max", "100", "--cap", "128"])
-        assert code == 0
+    def test_cap_enforced(self, capsys):
+        code, _ = run_cli(["tables", "c", "--max", str(cli.MAX_TABLE_ROW)])
+        assert code == cli.EXIT_OK
+        code, out = run_cli(["tables", "c", "--max", str(cli.MAX_TABLE_ROW + 1)])
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert f"exceeds the cap {cli.MAX_TABLE_ROW}" in capsys.readouterr().err
+        # the cap is a constant, not a flag
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["tables", "c", "--max", "100", "--cap", "128"])
+        assert exc.value.code == cli.EXIT_USAGE
 
     def test_unknown_family_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -345,14 +351,6 @@ def test_import_does_not_load_dataclasses():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
-
-
-def test_parser_constants_match_their_modules():
-    # written out in cli so that building the parser runs neither module
-    assert cli.VERIFY_SUITES == tuple(verify_mod.suite_names())
-    assert cli.DEFAULT_SEED == verify_mod.DEFAULT_SEED
-    assert cli.DEFAULT_QUAD_TOL == oracles.DEFAULT_QUAD_TOL
-    assert cli.DEFAULT_QUAD_BUDGET == oracles.DEFAULT_QUAD_BUDGET
 
 
 _HELP = """\
@@ -595,7 +593,7 @@ _PATHS = st.sampled_from(("direct", "recurrence"))
 # subcommand -> (positional choices or None, {flag: values}, required flags)
 _SURFACE = {
     "tables": (cli.TABLE_FAMILIES,
-               {"--max": _ints(-2, 16), "--cap": _ints(-2, 70),
+               {"--max": _ints(-2, 66),
                 "--format": st.sampled_from(("csv", "json"))},
                ("--max",)),
     "eval": (("gamma", "zeta"),
@@ -605,7 +603,7 @@ _SURFACE = {
                  {"--s": _S, "--max-terms": _ints(-2, 60), "--stride": _ints(-2, 70),
                   "--path": _PATHS, "--format": st.sampled_from(("csv", "json"))},
                  ("--s", "--max-terms")),
-    "verify": (("all",) + tuple(verify_mod.suite_names()),
+    "verify": (("all",) + VERIFY_SUITES,
                {"--depth": _ints(-2, 4), "--seed": st.integers().map(str),
                 "--format": st.sampled_from(("text", "json"))},
                ()),
