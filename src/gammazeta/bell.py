@@ -7,7 +7,9 @@ compared against the closed-form coefficient triangles, and series
 powers computed here validate the expansion coefficients. Bell values
 are computed over the integers: B_{n,k} is homogeneous of degree k, so
 B_{n,k}(x) = B_{n,k}(D x)/D**k for D the lcm of the denominators of
-x_1..x_{n-k+1}, and one Fraction is built, at the end.
+x_1..x_{n-k+1}, and one Fraction is built, at the end. Series powers
+come from J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2,
+sec. 4.7), in one pass over exact rationals or complex floats.
 
 Conventions. A :class:`TruncatedSeries` stores ordinary coefficients
 (``coeffs[n]`` multiplies t**n). The exponential-generating-function
@@ -145,61 +147,29 @@ class TruncatedSeries:
         return [factorial(n) * c for n, c in enumerate(self.coeffs)][1:]
 
 
-def series_log(series: TruncatedSeries) -> TruncatedSeries:
-    """log of a unit-constant series, exact when coefficients are exact.
-
-    Uses L' = S'/S: n l_n = n s_n - sum_{j=1..n-1} j l_j s_{n-j}.
-    """
-    if series.coeffs[0] != 1:
-        raise ValueError("series_log requires constant term 1")
-    s = series.coeffs
-    n = series.order
-    exact = all(isinstance(c, (int, Fraction)) for c in s)
-    l = [Fraction(0) if exact else 0j] * (n + 1)
-    for m in range(1, n + 1):
-        acc = m * s[m]
-        for j in range(1, m):
-            acc -= j * l[j] * s[m - j]
-        l[m] = Fraction(acc, m) if exact else acc / m
-    return TruncatedSeries(l)
-
-
-def series_exp(series: TruncatedSeries) -> TruncatedSeries:
-    """exp of a zero-constant series: n e_n = sum_{j=1..n} j a_j e_{n-j}."""
-    if series.coeffs[0] != 0:
-        raise ValueError("series_exp requires constant term 0")
-    a = series.coeffs
-    n = series.order
-    exact = all(isinstance(c, (int, Fraction)) for c in a)
-    e = [Fraction(1) if exact else 1 + 0j] + [0] * n
-    for m in range(1, n + 1):
-        acc = 0
-        for j in range(1, m + 1):
-            acc += j * a[j] * e[m - j]
-        e[m] = Fraction(acc, m) if exact else acc / m
-    return TruncatedSeries(e)
-
-
 def series_pow(base: TruncatedSeries, r) -> TruncatedSeries:
     """base**r as a truncated series, base having constant term 1.
 
-    Computed as exp(r * log(base)): exact rationals when r and the base
-    coefficients are rational, complex floating point otherwise. The
-    t**n coefficient equals P_n^r / n! for the potential polynomial of
-    the base's EGF coefficients.
+    Computed by J. C. P. Miller's recurrence for B = A**r with a_0 = 1
+    (Knuth, TAOCP vol. 2, sec. 4.7): b_0 = 1 and
+
+        n b_n = sum_{k=1..n} ((r+1) k - n) a_k b_{n-k},
+
+    in exact rationals when r and the base coefficients are rational,
+    in complex floating point otherwise. The t**n coefficient equals
+    P_n^r / n! for the potential polynomial of the base's EGF
+    coefficients.
     """
-    if base.coeffs[0] != 1:
+    a = base.coeffs
+    if a[0] != 1:
         raise ValueError("series_pow requires constant term 1")
-    logs = series_log(base)
-    exact = isinstance(r, (int, Fraction)) and all(
-        isinstance(c, (int, Fraction)) for c in logs.coeffs
-    )
-    if exact:
-        scaled = TruncatedSeries([Fraction(r) * c for c in logs.coeffs])
+    if all(isinstance(c, (int, Fraction)) for c in (r, *a)):
+        r, b = Fraction(r), [Fraction(1)]
     else:
-        rc = complex(r)
-        scaled = TruncatedSeries([rc * complex(c) for c in logs.coeffs])
-    return series_exp(scaled)
+        r, a, b = complex(r), [complex(c) for c in a], [1 + 0j]
+    for n in range(1, len(a)):
+        b.append(sum(((r + 1) * k - n) * a[k] * b[n - k] for k in range(1, n + 1)) / n)
+    return TruncatedSeries(b)
 
 
 def potential_poly(n: int, r, gs):

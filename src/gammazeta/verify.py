@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
-from math import factorial
+from math import factorial, pi
 from typing import Callable, NamedTuple
 
 from . import (
@@ -71,16 +71,16 @@ def _path_equivalence(module, points, n_terms: int, depth: int, rng) -> str | No
 
 
 def _integrand_power_identity(
-    coeffs: Callable, stride: int, power: int, order: int, witness: str, depth: int, rng
+    coeffs: Callable, stride: int, powers: tuple, order: int, series: str, depth: int, rng
 ) -> str | None:
-    # integer power: brace coefficients equal the exact power of the
-    # series 1 + sum_m t**m / (stride (m+1) + 1)
+    # brace coefficients equal the exact powers, integer and fractional,
+    # of the series 1 + sum_m t**m / (stride (m+1) + 1)
     base = bell.TruncatedSeries(
         [Fraction(1)] + [Fraction(1, stride * (m + 1) + 1) for m in range(order)]
     )
-    expected = bell.series_pow(base, power)
-    if tuple(coeffs(power, order).coeffs) != expected.coeffs:
-        return witness
+    for r in powers:
+        if tuple(coeffs(r, order).coeffs) != bell.series_pow(base, r).coeffs:
+            return f"power {r} of the {series} series disagrees with brace coefficients"
     return None
 
 
@@ -133,12 +133,13 @@ def check_stirling1_generating_function(depth: int, rng) -> str | None:
 
 
 def check_rising_equals_shifted_falling(depth: int, rng) -> str | None:
-    for _ in range(20):
-        s = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+    # both sides are polynomials of degree k <= 10 in s, so equality at
+    # eleven distinct rationals is equality everywhere
+    den = rng.randint(1, 30)
+    for num in rng.sample(range(-90, 91), 11):
+        s = Fraction(num, den)
         for k in range(11):
-            rise = comb.rising_factorial(s, k)
-            fall = comb.falling_factorial(s + k - 1, k)
-            if abs(rise - fall) > 1e-12 * max(1.0, abs(rise)):
+            if comb.rising_factorial(s, k) != comb.falling_factorial(s + k - 1, k):
                 return f"mismatch at s={s}, k={k}"
     return None
 
@@ -185,9 +186,8 @@ def check_series_pow_roundtrip(depth: int, rng) -> str | None:
     base = bell.TruncatedSeries(coeffs)
     for r in (2, 3):
         back = bell.series_pow(bell.series_pow(base, r), Fraction(1, r))
-        for c1, c2 in zip(back.coeffs, base.coeffs):
-            if abs(float(c1 - c2)) > 1e-10:
-                return f"roundtrip r={r} drifted by {float(c1 - c2):.2e}"
+        if back != base:
+            return f"roundtrip r={r} does not return the base"
     return None
 
 
@@ -236,8 +236,8 @@ check_gamma_path_equivalence = partial(
     _path_equivalence, gamma_expansion, (0.5, 1 + 1j, 2.3), 50
 )
 check_gamma_integrand_power_identity = partial(
-    _integrand_power_identity, gamma_expansion.integrand_coeffs, 1, 3, 10,
-    "cube of the shifted-log series disagrees with brace coefficients",
+    _integrand_power_identity, gamma_expansion.integrand_coeffs, 1, (3, Fraction(1, 2)), 10,
+    "shifted-log",
 )
 
 
@@ -327,8 +327,8 @@ check_zeta_path_equivalence = partial(
     _path_equivalence, zeta_expansion, (0.5, 1.0, 2 + 1j), 40
 )
 check_zeta_integrand_power_identity = partial(
-    _integrand_power_identity, zeta_expansion.log_ratio_coeffs, 2, 2, 5,
-    "square of the even log series disagrees with brace coefficients",
+    _integrand_power_identity, zeta_expansion.log_ratio_coeffs, 2, (2, Fraction(3, 4)), 5,
+    "even log",
 )
 
 
@@ -429,15 +429,20 @@ def check_gamma_reflection(depth: int, rng) -> str | None:
     return None
 
 
+def _bernoulli(n: int) -> Fraction:
+    # B_n = sum_k (-1)^k k! S2(n,k) / (k+1), from the Stirling numbers
+    return sum(Fraction((-1) ** k * factorial(k) * comb.stirling2(n, k), k + 1)
+               for k in range(n + 1))
+
+
 def check_eta_zeta_relation(depth: int, rng) -> str | None:
-    for _ in range(20):
-        s = complex(rng.uniform(0.3, 4.0), rng.uniform(-8.0, 8.0))
-        if abs(s - 1) < 0.25:
-            continue
-        lhs = oracles.eta_ref(s)
-        rhs = (1 - 2 ** (1 - s)) * oracles.zeta_ref(s)
-        if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs)):
-            return f"eta/zeta relation fails at s={s}"
+    # zeta(2k) = |B_2k| (2 pi)^(2k) / (2 (2k)!), Euler's closed form, ties
+    # zeta_ref = eta_ref / (1 - 2^(1-s)) to the exact Bernoulli numbers
+    for k in range(1, 7):
+        closed = float(abs(_bernoulli(2 * k)) / (2 * factorial(2 * k))) * (2 * pi) ** (2 * k)
+        got = oracles.zeta_ref(2 * k)
+        if abs(got - closed) > 1e-12 * closed:
+            return f"zeta({2 * k}) misses Euler's closed form"
     return None
 
 

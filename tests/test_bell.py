@@ -16,7 +16,6 @@ from gammazeta import (
     potential_poly,
     series_pow,
 )
-from gammazeta.bell import series_exp, series_log
 
 
 def gamma_sequence(length):
@@ -169,9 +168,7 @@ class TestSeriesPow:
         ]
         base = TruncatedSeries(coeffs)
         for r in (2, 3):
-            back = series_pow(series_pow(base, r), Fraction(1, r))
-            for c1, c2 in zip(back.coeffs, base.coeffs):
-                assert abs(float(c1 - c2)) < 1e-10
+            assert series_pow(series_pow(base, r), Fraction(1, r)) == base
 
     def test_complex_power_matches_exact_square(self):
         base = TruncatedSeries([Fraction(1), Fraction(1, 2), Fraction(1, 3)])
@@ -183,16 +180,29 @@ class TestSeriesPow:
     def test_requires_unit_constant(self):
         with pytest.raises(ValueError):
             series_pow(TruncatedSeries([Fraction(2), Fraction(1)]), 2)
-        with pytest.raises(ValueError):
-            series_log(TruncatedSeries([Fraction(2)]))
-        with pytest.raises(ValueError):
-            series_exp(TruncatedSeries([Fraction(1)]))
 
-    def test_log_exp_inverse_exactly(self):
-        coeffs = [Fraction(1), Fraction(-2, 3), Fraction(5, 4), Fraction(0),
-                  Fraction(7, 9), Fraction(-1, 8)]
-        base = TruncatedSeries(coeffs)
-        assert series_exp(series_log(base)).coeffs == base.coeffs
+
+_UNIT_BASES = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=9), max_size=10
+).map(lambda tail: TruncatedSeries([Fraction(1), *tail]))
+_EXPONENTS = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=_UNIT_BASES, r1=_EXPONENTS, r2=_EXPONENTS)
+def test_exponents_add_exactly(base, r1, r2):
+    product = series_pow(base, r1) * series_pow(base, r2)
+    assert product == series_pow(base, r1 + r2)
+    assert all(type(c) is Fraction for c in product.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=_UNIT_BASES, r=st.integers(0, 5))
+def test_integer_power_is_repeated_product(base, r):
+    product = TruncatedSeries([Fraction(1)] + [Fraction(0)] * base.order)
+    for _ in range(r):
+        product = product * base
+    assert series_pow(base, r) == product
 
 
 class TestPotentialPoly:

@@ -158,8 +158,9 @@ LEDGER = [
     ("gamma_reflection", "gamma_ref 1e-9 high for Re(s) < 0.5",
      _wrap(oracles, "gamma_ref",
            lambda gamma: lambda s: gamma(s) * (1 + 1e-9 * (complex(s).real < 0.5)))),
-    ("eta_zeta_relation", "zeta_ref divides eta by 1 - 2^(-s)",
-     _wrap(oracles, "zeta_ref", lambda _: lambda s: oracles.eta_ref(s) / (1 - 2 ** -complex(s)))),
+    ("eta_zeta_relation", "eta_ref 1e-9 high",
+     _wrap(oracles, "eta_ref", lambda eta: lambda s, acceleration_order=None: eta(
+         s, acceleration_order) * (1 + 1e-9))),
     ("eta_acceleration_orders", "an explicit Borwein order is cut to a quarter",
      _wrap(oracles, "eta_ref", lambda eta: lambda s, acceleration_order=None: eta(
          s, acceleration_order and acceleration_order // 4))),
