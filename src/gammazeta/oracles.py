@@ -291,27 +291,6 @@ def _reduced_integrand(power: complex, coeffs, k: int):
     return integrand
 
 
-def integrated_by_parts_form(s, n: int) -> QuadratureResult:
-    """eta(s)Gamma(s) recovered from the n-times integrated-by-parts
-    integral: (-1)**(n+1)/s^(n+1 rising) int_0^inf t**(s+n) Q_{n+2}(x(t)) dt
-    with x(t) = 1/(1+e^t).
-
-    Q_{n+2} has no constant term, so Q_{n+2}(x(t)) decays like e^{-t};
-    writing the integrand as exp((s+n) log t - t) times the bounded
-    factor e^t Q_{n+2}(x(t)) keeps every intermediate finite.
-    """
-    s = complex(s)
-    if s.real <= 0:
-        raise DomainError("requires Re(s) > 0")
-    reduced = dpoly.derivative_polynomial(n + 2).shift_down()  # Q_{n+2}(x)/x
-    # e^t * Q(x) = e^t x * (Q(x)/x) = (Q(x)/x)/(1+e^{-t})
-    integrand = _reduced_integrand(s + n, reduced.coeffs, 1)
-    res = quad_exp_sinh(integrand, 0.0, tol=_REF_TOL)
-    scale = (-1) ** (n + 1) / rising_factorial(s, n + 1)
-    return QuadratureResult(res.value * scale, res.error_estimate * abs(scale),
-                            res.evaluations, res.converged)
-
-
 class IdentityCheckReport(NamedTuple):
     s: complex
     n: int

@@ -173,12 +173,6 @@ class Polynomial:
             out = out * x + c
         return out
 
-    def shift_down(self) -> "Polynomial":
-        """Exact division by x; the constant term must vanish."""
-        if self.coeffs and self.coeffs[0]:
-            raise ValueError("constant term is nonzero; not divisible by x")
-        return Polynomial(self.coeffs[1:])
-
     def __repr__(self):
         if not self.coeffs:
             return "Polynomial(0)"

@@ -262,10 +262,6 @@ def collect_quadrature() -> dict:
         out[f"gamma_integral_ref|{s}"] = quad_record(oracles.gamma_integral_ref(s))
     for s in (0.5, 1.0, 2.0, 0.75 + 1.5j):
         out[f"eta_integral_ref|{s}"] = quad_record(oracles.eta_integral_ref(s))
-    for s in (1.5, 0.8 + 0.6j):
-        for n in range(6):
-            res = oracles.integrated_by_parts_form(s, n)
-            out[f"integrated_by_parts_form|{s}|{n}"] = quad_record(res)
     for label, s in IDENTITY_S.items():
         for n in range(13):
             rep = oracles.integral_identity_check(s, n)

@@ -10,6 +10,14 @@ failure set is the set of mutants under which it fails. Every line
 fails under its own mutant. No two lines have the same failure set: a
 line that fails exactly when another line fails compares nothing of its
 own.
+
+The converse does not hold: distinct failure sets do not prove distinct
+facts. A line whose mutant patches a helper that no other line calls
+gets a failure set of its own even when it restates another line. The
+by-parts form of the integral identity was such a line. Its mutant
+broke the division of Q_{n+2} by x, which only that line used, yet its
+quadrature integrated the same function as ``integral_identity`` at
+points that line already checks.
 """
 
 import pytest
@@ -166,8 +174,6 @@ LEDGER = [
          s, acceleration_order and acceleration_order // 4))),
     ("gamma_integral_quadrature", "gamma_integral_ref integrates (-log u)^(s+1)",
      _wrap(oracles, "gamma_integral_ref", lambda ref: lambda s: ref(complex(s) + 1))),
-    ("by_parts_chain", "Polynomial.shift_down does not divide by x",
-     _wrap(Polynomial, "shift_down", lambda _: lambda p: p)),
     ("elementary_quadratures", "quad_tanh_sinh 1e-8 high",
      _wrap(oracles, "quad_tanh_sinh", _quadrature_high)),
     ("integral_identity", "the identity takes the falling factorial for the rising one",
@@ -222,6 +228,16 @@ def test_each_line_has_one_mutant_and_the_clean_run_passes(failures):
                          ids=[line for line, _, _ in LEDGER])
 def test_own_mutant_fails_the_line(failures, line, mutant):
     assert line in failures[mutant]
+
+
+def test_q_closed_forms_fails_when_q_drops_its_x_minus_1():
+    # Q_n returned as x P_{n-2}: P_{n-2} itself is right, so only the
+    # comparison of the returned Q_n with its Stirling form sees it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dpoly, "derivative_polynomial",
+                   lambda n: Polynomial((0, 1)) * dpoly.reduced_polynomial(n - 2))
+        results = verify.run_suite("poly", DEPTH)
+    assert [r.name for r in results if not r.passed] == ["q_closed_forms"]
 
 
 def test_no_two_lines_fail_on_the_same_mutants(failures):

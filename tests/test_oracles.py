@@ -22,7 +22,6 @@ from gammazeta import (
     zeta_ref,
 )
 from gammazeta import oracles
-from gammazeta.oracles import integrated_by_parts_form
 
 
 class TestGammaRef:
@@ -79,16 +78,6 @@ class TestEtaZetaRef:
             one = eta_ref(s, acceleration_order=40)
             two = eta_ref(s, acceleration_order=60)
             assert abs(one - two) <= 1e-12 * max(1.0, abs(one))
-
-    def test_eta_zeta_relation_randomized(self):
-        rng = random.Random(777)
-        for _ in range(20):
-            s = complex(rng.uniform(0.3, 4.0), rng.uniform(-8.0, 8.0))
-            if abs(s - 1) < 0.25:
-                continue
-            lhs = eta_ref(s)
-            rhs = (1 - 2 ** (1 - s)) * zeta_ref(s)
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_domain_and_pole_errors(self):
         with pytest.raises(DomainError):
@@ -191,12 +180,6 @@ class TestDefiningIntegrals:
         target = eta_ref(0.5) * gamma_ref(0.5)
         assert abs(res.value - target) <= 1e-10 * abs(target)
 
-    def test_integrated_by_parts_chain(self):
-        target = eta_ref(1.5) * gamma_ref(1.5)
-        for n in range(4):
-            res = integrated_by_parts_form(1.5, n)
-            assert abs(res.value - target) <= 1e-8 * abs(target)
-
 
 class TestIntegralIdentity:
     def test_log_two_case(self):
@@ -289,3 +272,14 @@ class TestAgainstMpmath:
                 s = complex(rng.uniform(0.3, 8.0), rng.uniform(-30.0, 30.0))
                 want = complex(mpmath.altzeta(mpmath.mpc(s.real, s.imag)))
                 assert abs(eta_ref(s) - want) <= 1e-12 * max(1.0, abs(want)), s
+
+    def test_zeta_ref_accuracy(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(777)
+        with mpmath.workdps(30):
+            for _ in range(20):
+                s = complex(rng.uniform(0.3, 4.0), rng.uniform(-8.0, 8.0))
+                if abs(s - 1) < 0.25:
+                    continue
+                want = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+                assert abs(zeta_ref(s) - want) <= 1e-12 * max(1.0, abs(want)), s

@@ -32,11 +32,6 @@ class TestPolynomial:
         p = Polynomial((7, 0, 4, 1))
         assert p.derivative() == Polynomial((0, 8, 3))
 
-    def test_shift_down(self):
-        assert Polynomial((0, 2, 3)).shift_down() == Polynomial((2, 3))
-        with pytest.raises(ValueError):
-            Polynomial((1, 2)).shift_down()
-
 
 class TestGaussianRational:
     def test_arithmetic(self):
