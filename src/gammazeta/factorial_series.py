@@ -34,15 +34,15 @@ For rational s = p/q each term A_a(s)/(s+r+1) comes out correctly
 rounded, from the first of three tiers that can vouch for it:
 
 1. Certified fixed point (every s but 0). Every value is an integer
-   scaled by 2**P; each step is a floor division, so only small-by-P-bit
-   products appear (and P-by-P-bit ones in the direct path's dot
-   product). A rigorous bound E_a on the error of every entry of row a
-   (:func:`_row_bounds`) gives an interval around the term; the term is
+   scaled by 2**P and each step a floor division, so only small-by-P-bit
+   products appear: the direct path sums each weight row by Horner's
+   rule over the exact ratios of successive binomials (:func:`_horner`).
+   A rigorous bound on the error of each row's sum (:func:`_row_bounds`,
+   :func:`_term_bounds`) gives an interval around the term; the term is
    kept when both ends of the interval round to the same double. P is
    chosen from the bound of the last row plus 53 bits and a guard. At
-   integer s >= 0 the direct path's binomials C(s, b) are exact and 0
-   beyond b = s, as are the recurrence path's summands, so the rows of
-   either path stop at column s.
+   integer s >= 0 the binomials C(s, b) and the summands vanish beyond
+   b = s, so the rows of either path stop at column s.
 2. The same at 2P, then 4P, for the terms still open (Ziv's loop: Ziv,
    ACM TOMS 17(3), 1991; Brent & Zimmermann, Modern Computer
    Arithmetic, ch. 3-4).
@@ -63,7 +63,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, inf, prod
-from operator import mul
 from numbers import Rational
 from typing import NamedTuple
 
@@ -223,24 +222,6 @@ def _fixed_rows(d: int, p: int, q: int, n: int, prec: int, width: float = inf):
         yield row
 
 
-def _fixed_binomials(p: int, q: int, n: int, prec: int) -> tuple[list[int], list[int]]:
-    """B[b] ~ (-1)**b (s)_b/b! 2**prec at s = p/q for b = 0..n-1, each
-    step floored, and bounds[a] >= |B[b] - (-1)**b (s)_b/b! 2**prec| for
-    all b <= a, by the argument of :func:`_row_bounds` with one term: the
-    floor adds 1 to the bound only when its division is inexact. At
-    integer s >= 0 every division is exact, as B[b] = (-1)**b C(s, b)
-    2**prec, so every bound is 0 and B[b] = 0 exactly beyond b = s."""
-    binom, bounds = [1 << prec], [0]
-    err = 0
-    for b in range(1, n):
-        m = (b - 1) * q - p
-        value, rem = divmod(binom[-1] * m, q * b)
-        binom.append(value)
-        err = -(-abs(m) * err // (q * b)) + (rem != 0)
-        bounds.append(max(bounds[-1], err))
-    return binom, bounds
-
-
 def _round_interval(lo: int, hi: int, den: int) -> float | None:
     """The double that every point of [lo/den, hi/den] rounds to, or None
     (den > 0). The ends are compared by bit pattern, since -0.0 == 0.0.
@@ -255,44 +236,55 @@ def _round_interval(lo: int, hi: int, den: int) -> float | None:
     return lo_float if lo_float.hex() == hi_float.hex() else None
 
 
-def _fixed_terms(side: Side, p: int, q: int, n: int, path: str, prec: int):
-    """A_a(p/q)/(s+r+1) for a = 1..n-1, each the correctly rounded
-    float, or None where the interval at precision ``prec`` does not
-    round to a single double."""
-    d = side.stride
-    # at integer s >= 0 both paths keep columns 0..s: the binomials are
-    # exact zeros beyond b = s, and so are the summands, whose factor
-    # s-b+1 is 0 at b = s+1 (every later entry reads only zeros)
+def _horner(row: list[int], p: int, q: int) -> int:
+    """q D, D ~ sum_b row[b] beta_b with beta_b = (-1)**b (s)_b/b! at s = p/q:
+    h <- row[b] + floor(h m[b+1]/(q(b+1))) from the last b down to b = 1,
+    m[b] = (b-1)q - p (beta_b/beta_{b-1} = m[b]/(qb)), and q D = h m[1]."""
+    h, top = 0, len(row) - 1
+    for w, m, z in zip(row[:0:-1], range(top * q - p, -p, -q), range(top * q + q, q, -q)):
+        h = w + h * m // z
+    return -p * h
+
+
+def _term_bounds(bounds: list[int], p: int, q: int, path: str) -> list[int]:
+    """err[a] >= |V - A_a(s) 2**P|, whatever P, for the value V that
+    :func:`_fixed_terms` takes from row a, whose entries err by at most
+    E[a] = ``bounds[a]``. The recurrence path sums a entries. Unrolled,
+    the D of :func:`_horner` on a weight row W is sum_b beta_b (W[b] + f_b),
+    f_b in (-1, 0] the error of step b's floor, so it errs by at most
+    (E[a] + 1) sum_{b<=a} |beta_b|; the running product of the same ratios,
+    rounded up, bounds |beta_b| 2**GUARD_BITS, and is 0 where beta_b is."""
+    if path == "recurrence":
+        return [a * e for a, e in enumerate(bounds)]
+    mass, beta = [0], 1 << GUARD_BITS
+    for b in range(1, len(bounds)):
+        beta = -(-beta * abs((b - 1) * q - p) // (q * b))
+        mass.append(mass[-1] + beta)
+    return [-(-(e + 1) * m >> GUARD_BITS) for e, m in zip(bounds, mass)]
+
+
+def _fixed_terms(side: Side, p: int, q: int, n: int, path: str, prec: int,
+                 rows_s: tuple[int, int], errs: list[int]):
+    """A_a(p/q)/(s+r+1) for a = 1..n-1 from the summand rows at
+    ``rows_s``, each the correctly rounded float, or None where the
+    interval at precision ``prec`` and of radius ``errs[a]`` does not
+    round to one double."""
+    # at integer s >= 0 both paths keep columns 0..s: beta_b = 0 beyond
+    # b = s, and so are the summands (every later entry reads only zeros)
     width = p + 1 if q == 1 and p >= 0 else inf
-    if path == "direct":
-        binom, binom_err = _fixed_binomials(p, q, n, prec)
-        binom_mass = list(accumulate(map(abs, binom)))  # sum_{b<=a} |B[b]|
-        # the weight rows are the summand rows at s = -1: (-1)**b w[r,b]
-        rows, bounds = _fixed_rows(d, -1, 1, n, prec, width), _row_bounds(d, -1, 1, n)
-    else:
-        rows, bounds = _fixed_rows(d, p, q, n, prec, width), _row_bounds(d, p, q, n)
+    d, rows = side.stride, _fixed_rows(side.stride, *rows_s, n, prec, width)
     for a, row in enumerate(rows, 1):
-        if path == "direct":
-            # fixed-point weight W and binomial B with error bounds e_W, e_B:
-            # |W B - exact product| <= |W| e_B + |B| e_W + e_W e_B, summed over b
-            value, scale = sum(map(mul, row, binom)), 2 * prec
-            err = (binom_err[a] * sum(map(abs, row))
-                   + bounds[a] * (binom_mass[a] - binom_mass[0] + a * binom_err[a]))
-        else:
-            value, scale, err = sum(row), prec, a * bounds[a]
-        den = (p + (d * a + 1) * q) << scale
-        yield _round_interval((value - err) * q, (value + err) * q, den)
+        value = _horner(row, p, q) if path == "direct" else q * sum(row)  # q D
+        den = (p + (d * a + 1) * q) << prec
+        yield _round_interval(value - q * errs[a], value + q * errs[a], den)
 
 
-def _start_precision(side: Side, p: int, q: int, n: int, path: str) -> int:
+def _start_precision(row_bounds: list[int], p: int, q: int) -> int:
     """The first precision of Ziv's loop: the bits of the last row's
     bound on the sum of its n entries, 53 more for a double, a guard, and
     the bits that |s| < 1 takes off every A_a(s), which has the factor s."""
     small = max(0, q.bit_length() - abs(p).bit_length())
-    if path == "direct":
-        p, q = -1, 1  # the weight rows
-    bound = n * _row_bounds(side.stride, p, q, n)[-1]
-    return bound.bit_length() + 53 + GUARD_BITS + small
+    return (len(row_bounds) * row_bounds[-1]).bit_length() + 53 + GUARD_BITS + small
 
 
 def exact_terms(
@@ -306,11 +298,15 @@ def exact_terms(
     inner = [None] * n_terms  # inner[a] = A_a/(s+r+1), rounded, for a >= 1
     todo = range(1, n_terms)
     if p != 0:  # A_a(0) = 0, which no interval certifies
-        prec = _start_precision(side, p, q, n_terms, path)
+        # the direct path runs the weight rows: the summand rows at s = -1
+        rows_s = (-1, 1) if path == "direct" else (p, q)
+        bounds = _row_bounds(side.stride, *rows_s, n_terms)
+        prec, errs = _start_precision(bounds, p, q), _term_bounds(bounds, p, q, path)
         for _ in range(1 + ZIV_DOUBLINGS):
             if not todo:
                 break
-            for a, t in enumerate(_fixed_terms(side, p, q, todo[-1] + 1, path, prec), 1):
+            fixed = _fixed_terms(side, p, q, todo[-1] + 1, path, prec, rows_s, errs)
+            for a, t in enumerate(fixed, 1):
                 if inner[a] is None:
                     inner[a] = t
             todo = [a for a in todo if inner[a] is None]

@@ -90,11 +90,14 @@ def eta_ref(s, acceleration_order: int | None = None) -> complex:
     Valid for Re(s) > 0; accuracy better than 1e-12 for Re(s) >= 0.3,
     |Im(s)| <= 30 at the default order, which grows with |Im(s)|. An
     order beyond 399, which the default reaches from |Im(s)| of about
-    151.7, raises DomainError; an order below 1 raises ValueError.
+    151.7 on to inf and nan, raises DomainError; one below 1, ValueError.
     """
     s = complex(s)
     if s.real <= 0:
         raise DomainError("eta oracle requires Re(s) > 0")
+    if acceleration_order is None and not abs(s.imag) < 1e6:  # inf, nan, 7+ digits
+        raise DomainError(f"eta oracle needs an acceleration order beyond {_MAX_ORDER} "
+                          f"at s = {s!r}; its sums would overflow")
     n = 36 + int(2.4 * abs(s.imag)) if acceleration_order is None else acceleration_order
     if n < 1:
         raise ValueError(f"eta oracle needs an acceleration order >= 1, got {n}")

@@ -19,8 +19,9 @@ that has the current API.
   benchmark reaches (N up to 450), for one exact rational per side.
 - ``terms_800.json``: the same digests at N=800, gamma s=3/2 and zeta
   s=3/4.
-- ``terms_cap.json``: the same digests for integer s=2 at the term cap
-  (N=1000) and complex s=1+i at N=400, on both sides.
+- ``terms_cap.json``: the same digests for integer s=2, gamma s=3/2
+  and zeta s=3/4 at the term cap (N=1000), and complex s=1+i at N=400,
+  on both sides.
 - ``coeffs.json``: ``integrand_coeffs`` and ``log_ratio_coeffs`` to
   order 30, exact Fractions as strings, complex floats as ``float.hex``.
 - ``cli.json``: the stdout of a set of CLI commands, byte for byte.
@@ -144,10 +145,13 @@ CASES_800 = [
 ]
 
 
-# integer s at the term cap, and complex s where the float sums are deep
+# integer and non-integer rational s at the term cap, where P is
+# largest, and complex s where the float sums are deep
 CASES_CAP = [
     ("gamma", "2", Fraction(2), 1000),
     ("zeta", "2", Fraction(2), 1000),
+    ("gamma", "3/2", Fraction(3, 2), 1000),
+    ("zeta", "3/4", Fraction(3, 4), 1000),
     ("gamma", "1+1j", 1 + 1j, 400),
     ("zeta", "1+1j", 1 + 1j, 400),
 ]

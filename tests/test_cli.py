@@ -559,6 +559,7 @@ def test_phase_beyond_float_range_is_a_domain_error(argv, capsys):
         ["eval", "zeta", "--s", "0.01,153", "--terms", "3"],
         ["eval", "zeta", "--s", "0.5,2000", "--terms", "3"],
         ["converge", "zeta", "--s", "0.5,1e6", "--max-terms", "3", "--stride", "1"],
+        ["eval", "zeta", "--s", "0.5,1e308", "--terms", "3"],
     ],
 )
 def test_eta_oracle_order_cap_is_a_domain_error(argv, capsys):
@@ -567,7 +568,8 @@ def test_eta_oracle_order_cap_is_a_domain_error(argv, capsys):
     assert code == cli.EXIT_DOMAIN
     assert out == ""
     err = capsys.readouterr().err
-    assert err.startswith("numeric-domain error: eta oracle")
+    assert err.startswith("numeric-domain error: eta oracle needs ")
+    assert "acceleration order" in err
     assert err.count("\n") == 1
 
 

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -132,8 +132,8 @@ def test_low_start_precision_doubles_then_falls_back(monkeypatch):
     precisions, certified, exact_rows = [], [], []
     fixed_terms, exact_sums = fs._fixed_terms, fs._exact_sums
 
-    def spy_fixed(side, p, q, n, path, prec):
-        got = list(fixed_terms(side, p, q, n, path, prec))
+    def spy_fixed(side, p, q, n, path, prec, *bounds):
+        got = list(fixed_terms(side, p, q, n, path, prec, *bounds))
         precisions.append(prec)
         certified.append(sum(t is not None for t in got))
         return iter(got)
@@ -289,22 +289,26 @@ def test_fixed_rows_stay_within_their_bound(data, stride, prec, n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(s=_rationals(-1), prec=st.integers(1, 80), n=st.integers(2, 60))
-def test_fixed_binomials_stay_within_their_bound(s, prec, n):
-    binom, bounds = fs._fixed_binomials(s.numerator, s.denominator, n, prec)
-    exact = Fraction(1)  # (-1)**b (s)_b/b!
-    for b in range(1, n):
-        exact *= (b - 1 - s) / b
-        assert abs(binom[b] - exact * 2**prec) <= bounds[b]
-
-
-@settings(max_examples=60, deadline=None)
-@given(s=st.integers(0, 60), prec=st.integers(1, 80), n=st.integers(2, 80))
-def test_fixed_binomials_are_exact_at_integer_s(s, prec, n):
-    # every division is exact: B[b] = (-1)**b C(s, b) 2**prec, 0 beyond b = s
-    binom, bounds = fs._fixed_binomials(s, 1, n, prec)
-    assert binom == [(-1) ** b * comb(s, b) << prec for b in range(n)]
-    assert bounds == [0] * n
+@given(data=st.data(), stride=st.sampled_from((1, 2)), prec=st.integers(1, 80),
+       n=st.integers(2, 40))
+def test_horner_sums_stay_within_their_bound(data, stride, prec, n):
+    # the direct path's value of each weight row lies within
+    # (E[a] + 1) sum_b |beta_b| of A_a(s) 2**prec, and so within its bound
+    s = data.draw(st.one_of(_rationals(-1), st.integers(0, 60).map(Fraction)))
+    p, q = s.numerator, s.denominator
+    bounds = fs._row_bounds(stride, -1, 1, n)
+    errs = fs._term_bounds(bounds, p, q, "direct")
+    exact = [1]  # the integer form of the kernel triangle, T[r,b]
+    width = p + 1 if q == 1 else math.inf
+    for a, row in enumerate(fs._fixed_rows(stride, -1, 1, n, prec, width), 1):
+        r = stride * a
+        exact = fs._next_row(exact, exact, a, stride)
+        beta = [Fraction((-1) ** b) * math.prod(s - j for j in range(b)) / factorial(b)
+                for b in range(a + 1)]  # (-1)**b (s)_b/b!
+        value = sum(Fraction(exact[b] * factorial(b), factorial(r + b)) * (-1) ** b * beta[b]
+                    for b in range(1, a + 1)) * 2**prec  # A_a(s) 2**prec
+        error = abs(Fraction(fs._horner(row, p, q), q) - value)
+        assert error <= (bounds[a] + 1) * sum(map(abs, beta[1:])) <= errs[a]
 
 
 @settings(max_examples=24, deadline=None)

@@ -236,6 +236,19 @@ class TestBorweinWeights:
             eta_ref(0.5, acceleration_order=400)
         with pytest.raises(DomainError):
             eta_ref(0.5 + 170j)  # default order 36 + int(2.4 * 170) = 444
+        with pytest.raises(DomainError) as info:
+            eta_ref(0.5 + 200j)
+        assert str(info.value) == ("eta oracle needs acceleration order 516 at s = "
+                                   "(0.5+200j), beyond 399; its sums would overflow")
+
+    @pytest.mark.parametrize("s", [0.5 + 1e308j, complex(0.5, math.inf),
+                                   complex(0.5, math.nan), 0.5 + 1e300j, 0.5 + 1e6j])
+    def test_huge_or_nonfinite_imaginary_part_is_a_domain_error(self, s):
+        # the default order 36 + int(2.4 |Im s|) is not computed: int() of
+        # inf or nan raises, and at 1e300 it has 301 digits
+        with pytest.raises(DomainError, match="acceleration order beyond 399") as info:
+            eta_ref(s)
+        assert len(str(info.value)) < 200
 
     @pytest.mark.parametrize("order", [0, -5])
     def test_order_below_1_is_rejected(self, order):
