@@ -13,18 +13,20 @@ from math import comb, factorial as _factorial
 from typing import Callable
 
 
-class CachedTriangle:
-    """Ragged table indexed by (row, column): exact integers, or floats.
+class CachedSequence:
+    """Entries 0, 1, 2, ... of a sequence, cached.
 
-    Rows are produced by ``build_row(rows, n)``, which receives all
-    previously built rows and must return row ``n`` as a list.
-    Built rows are never mutated; extension is guarded by a lock so
-    concurrent readers are safe (single-writer construction).
+    Entries are produced by ``build_row(rows, n)``, which receives all
+    previously built entries and must return entry ``n``. Built entries
+    are never mutated; extension is guarded by a lock so concurrent
+    readers are safe (single-writer construction), and an entry is
+    stored only once whole, so an interrupted build keeps the ones
+    before it.
     """
 
-    def __init__(self, build_row: Callable[[list[list[int]], int], list[int]]):
+    def __init__(self, build_row: Callable[[list, int], object]):
         self._build_row = build_row
-        self._rows: list[list[int]] = []
+        self._rows: list = []
         self._lock = threading.Lock()
 
     def ensure(self, max_row: int) -> None:
@@ -34,6 +36,19 @@ class CachedTriangle:
             while len(self._rows) <= max_row:
                 n = len(self._rows)
                 self._rows.append(self._build_row(self._rows, n))
+
+    def prefix(self, n: int) -> list:
+        """Entries 0..n-1 (a new list)."""
+        self.ensure(n - 1)
+        return self._rows[:n]
+
+
+class CachedTriangle(CachedSequence):
+    """Ragged table indexed by (row, column): exact integers, or floats.
+
+    Its entries are rows: ``build_row(rows, n)`` must return row ``n``
+    as a list.
+    """
 
     def row(self, n: int) -> list[int]:
         """Stored row ``n`` (a copy; callers cannot corrupt the cache)."""

@@ -28,11 +28,16 @@ alternating binomial transform of the Mittag-Leffler triangle a[n,k]:
 A second evaluation path propagates the summands
 z[m,k] = b[m,k](s)_k/(m+k)! directly via
 
-    z[m,k] = (m+k-2)/(m+k) z[m-2,k] + (s-k+1)/(m+k) z[m-2,k-1].
+    z[m,k] = (m+k-2)/(m+k) z[m-2,k] + (s-k+1)/(m+k) z[m-2,k-1]
+
+at rational s; at complex s it takes the inner sum of term m as the
+coefficient of u**m in the series power (1 + u/3 + u**2/5 + ...)**s.
 
 Backends mirror the Gamma evaluator: correctly rounded terms for
 rational s (certified fixed point, exact integers as the last resort),
-complex floating point otherwise. The comparison target is always the entire
+complex floating point otherwise, where the "recurrence" path stays
+accurate at depth and the "direct" sums cancel catastrophically beyond
+roughly 120 terms. The comparison target is always the entire
 product eta(s)Gamma(s), never zeta alone, so s = 1 needs no special
 casing.
 """

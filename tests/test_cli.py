@@ -152,6 +152,17 @@ class TestEval:
         r = json.loads(rec)["payload"]["partial_sum"]
         assert d == r  # exact backends agree bit for bit
 
+    def test_complex_recurrence_at_depth(self):
+        # 400 terms at s = 1+i stay within their 1/N truncation of
+        # Gamma(2+i) = 0.6529654964201668+0.3430658398165454i (mpmath)
+        code, out = run_cli(
+            ["eval", "gamma", "--s", "1,1", "--terms", "400", "--path", "recurrence"]
+        )
+        assert code == 0
+        total = json.loads(out)["payload"]["partial_sum"]
+        gamma = 0.6529654964201668 + 0.3430658398165454j
+        assert abs(complex(total["re"], total["im"]) - gamma) <= 4e-3
+
     def test_domain_error_exit_code(self):
         code, _ = run_cli(["eval", "zeta", "--s", "-1", "--terms", "5"])
         assert code == cli.EXIT_DOMAIN

@@ -55,40 +55,43 @@ def test_horner_numerator_is_the_defining_sum(data, a, stride, q):
     assert fs._numerator(row, r, q) == expected
 
 
-def _loop_recurrence_terms(side, s, n_terms, pref=None):
-    # the recurrence branch of float_terms as a plain loop over b: the
-    # reference the comprehension must match bit for bit
-    d = side.stride
-    terms = [1 / (s + 1) if pref is None else pref / (s + 1)]
-    row = [1.0 + 0j]
-    for a in range(1, n_terms):
-        r = d * a
-        prev, row = row, [0j] * (a + 1)
-        for b in range(1, a + 1):
-            upper = prev[b] if b < len(prev) else 0j
-            row[b] = ((r + b - d) / (r + b) * upper
-                      + (s - b + 1) / (r + b) * prev[b - 1])
-        inner = sum(row[b] for b in range(a, 0, -1))
-        den = s + r + 1
-        terms.append(inner / den if pref is None else pref * inner / den)
-    return terms
+def _power_reference(d, s, n, mpmath):
+    # terms 0..n-1 at 200 bits, A_a(s) from Miller's recurrence for L**s,
+    # L = sum_k t**k/(dk+1): m b_m = sum_k (sk + k - m) L_k b_{m-k}, a
+    # recurrence that shares no weight with the engine's K ((s+1)k - m
+    # would lose a tiny s to rounding)
+    with mpmath.workprec(200):
+        s = mpmath.mpc(s)
+        base = [mpmath.mpf(1) / (d * k + 1) for k in range(n)]
+        kbase = [k * x for k, x in enumerate(base)]
+        b = [mpmath.mpc(1)]
+        for m in range(1, n):
+            rb = b[::-1]  # b_{m-1}, ..., b_0
+            shifted = [(k - m) * base[k] for k in range(1, m + 1)]
+            b.append((s * mpmath.fdot(kbase[1:m + 1], rb) + mpmath.fdot(shifted, rb)) / m)
+        return [b[a] / (s + d * a + 1) for a in range(n)]
 
 
 @pytest.mark.parametrize("side_name", ["gamma", "zeta"])
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(data=st.data(), n_terms=st.integers(1, 150))
-def test_float_recurrence_is_the_loop_bit_for_bit(side_name, data, n_terms):
-    module = ge if side_name == "gamma" else ze
+def test_float_recurrence_terms_are_accurate(side_name, data, n_terms):
+    # every complex recurrence term (no prefactor) lies within 1e-12
+    # relative of the 200-bit reference. |s| >= 1e-300 keeps the terms,
+    # about s l_a/(s+r+1) for tiny s, in the normal range: a subnormal
+    # term carries too few bits for a relative bound, even correctly rounded
+    mpmath = pytest.importorskip("mpmath")
+    side = ge.SIDE if side_name == "gamma" else ze.SIDE
     low = -1.0 if side_name == "gamma" else 0.0
     re = data.draw(st.floats(low, 4.0, exclude_min=True, exclude_max=True))
     im = data.draw(st.floats(-20.0, 20.0).filter(lambda y: y != 0))
     s = complex(re, im)
+    assume(abs(s) >= 1e-300)
     assume(side_name == "zeta" or abs(s + 1) >= ge.POLE_TOLERANCE)
-    pref = None if side_name == "gamma" else 2 ** (s - 1) / s
-    expected = _loop_recurrence_terms(module.SIDE, s, n_terms, pref)
-    assert _bits(module.expansion_terms(s, n_terms, "recurrence")) == _bits(expected)
-    assert (_bits(module.partial_sums(s, n_terms, "recurrence"))
-            == _bits(fs.running_sums(expected)))
+    terms = fs.float_terms(side, s, n_terms, "recurrence")
+    reference = _power_reference(side.stride, s, n_terms, mpmath)
+    for a, (got, want) in enumerate(zip(terms, reference)):
+        assert abs(got - want) <= 1e-12 * abs(want), (s, a)
 
 
 def _exact_reference(side, s, n_terms, pref=None):
@@ -215,16 +218,93 @@ def test_interrupted_weight_build_keeps_its_rows_in_place(monkeypatch):
     side = fs.kernel_side(1)
     float_row = fs._float_row
 
-    def interrupt(prev, d, shift):
+    def interrupt(prev, d):
         if len(prev) == 7:
             raise KeyboardInterrupt
-        return float_row(prev, d, shift)
+        return float_row(prev, d)
 
     monkeypatch.setattr(fs, "_float_row", interrupt)
     with pytest.raises(KeyboardInterrupt):
         side.weights.ensure(20)
     monkeypatch.undo()
     assert side.weights.rows(30) == fs.kernel_side(1).weights.rows(30)
+
+
+def test_interrupted_log_weight_build_keeps_a_valid_prefix(monkeypatch):
+    # the same for K: the entries before the interrupted one stay, and a
+    # later build carries on from them
+    side = fs.kernel_side(2)
+    log_weight = fs._log_weight
+
+    def interrupt(ks, n, d):
+        if n == 7:
+            raise KeyboardInterrupt
+        return log_weight(ks, n, d)
+
+    monkeypatch.setattr(fs, "_log_weight", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        side.log_derivative.ensure(20)
+    monkeypatch.undo()
+    assert len(side.log_derivative._rows) == 7
+    assert side.log_derivative.prefix(31) == fs.kernel_side(2).log_derivative.prefix(31)
+
+
+def _exact_log_weights(d, n):
+    # K_0..K_{n-1} in Fractions: K_n = n L_n - sum_{j=1..n-1} L_j K_{n-j}
+    ks = [Fraction(0)]
+    for m in range(1, n):
+        ks.append(Fraction(m, d * m + 1) - sum(ks[m - j] / (d * j + 1) for j in range(1, m)))
+    return ks
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_log_weights_are_within_16_ulps(stride):
+    ks = fs.kernel_side(stride).log_derivative.prefix(201)
+    for k, (got, want) in enumerate(zip(ks, _exact_log_weights(stride, 201))):
+        assert abs(Fraction(got) - want) <= 16 * Fraction(math.ulp(got)), k
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_log_weights_lie_in_0_to_1_over_d_up_to_the_cap(stride):
+    # 0 < K_k = k l_k <= 1/d: the premise 0 <= l_k <= 1/(dk) on the
+    # coefficients l_k of log L, for every k a command can reach
+    from gammazeta.cli import MAX_TERMS
+
+    ks = fs.kernel_side(stride).log_derivative.prefix(MAX_TERMS + 1)
+    assert all(0 < k <= 1 / stride for k in ks[1:])
+
+
+def test_log_weights_are_built_lazily_to_the_depth_asked():
+    # none at import; a complex recurrence eval at 20 terms builds K_0..K_19
+    # and no weight row, a direct one no K
+    code = ("import contextlib, io\n"
+            "from gammazeta import cli, gamma_expansion as ge, zeta_expansion as ze\n"
+            "sides = (ge.SIDE, ze.SIDE)\n"
+            "print(*[len(side.log_derivative._rows) for side in sides])\n"
+            "for path in ('recurrence', 'direct'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        cli.main(['eval', 'gamma', '--s', '1,1', '--terms', '20', '--path', path])\n"
+            "    print(len(ge.SIDE.log_derivative._rows), len(ge.SIDE.weights._rows))\n")
+    src = str(Path(fs.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == ["0 0", "20 0", "20 20"]
+
+
+@pytest.mark.parametrize("module, s, n_terms", [(ge, 1 + 1j, 50), (ze, 2 + 1j, 40)])
+def test_complex_paths_share_no_weight(monkeypatch, module, s, n_terms):
+    # a wrong float weight, as the ledger's path-equivalence mutants make,
+    # moves the complex direct terms and leaves the recurrence terms alone,
+    # so verify compares two independent routes
+    before = {path: _bits(module.expansion_terms(s, n_terms, path)) for path in fs.PATHS}
+    weights = module.SIDE.weights
+    weights.ensure(10)
+    rows = list(weights._rows)
+    rows[10] = [w + (b == 3) for b, w in enumerate(rows[10])]
+    monkeypatch.setattr(weights, "_rows", rows)
+    assert _bits(module.expansion_terms(s, n_terms, "direct")) != before["direct"]
+    assert _bits(module.expansion_terms(s, n_terms, "recurrence")) == before["recurrence"]
 
 
 def test_deep_direct_rows_stay_small():
