@@ -44,7 +44,7 @@ class CachedSequence:
 
 
 class CachedTriangle(CachedSequence):
-    """Ragged table indexed by (row, column): exact integers, or floats.
+    """Ragged table of exact integers indexed by (row, column).
 
     Its entries are rows: ``build_row(rows, n)`` must return row ``n``
     as a list.

@@ -12,26 +12,22 @@ with a kernel triangle T obeying
 The sides differ only in the row stride d: d = 1 with T = c on the
 Gamma side, d = 2 with the even rows of b on the zeta side (the odd
 rows vanish). A :class:`Side` carries d, the kernel rows that only the
-tables read (row a holds T[d*a, b] for b = 0..a), the float weights of
-the direct path and the float weights K of the complex recurrence path.
+tables read (row a holds T[d*a, b] for b = 0..a), and the float weights
+K of the series power that every complex s runs.
 
-The "direct" path combines the kernel rows with falling factorials,
-as A_a(s) = sum_b w[r,b] (s)_b/b! with the s-independent weights
-w[r,b] = T[r,b] b!/(r+b)!. The "recurrence" path never touches the
-triangle. At rational s it propagates the summands
-g[r,b] = T[r,b](s)_b/(r+b)! by
+At rational s the "direct" path combines the kernel with falling
+factorials, as A_a(s) = sum_b w[r,b] (s)_b/b! with the s-independent
+weights w[r,b] = T[r,b] b!/(r+b)!. The "recurrence" path propagates the
+summands g[r,b] = T[r,b](s)_b/(r+b)! by
 
     g[r,b] = (r+b-d)/(r+b) g[r-d,b] + (s-b+1)/(r+b) g[r-d,b-1].
 
 At s = -1 the summands are (-1)**b w[r,b], so the weights obey the same
-recurrence, w[r,b] = ((r+b-d) w[r-d,b] + b w[r-d,b-1])/(r+b), and both
-tiers build them without the triangle: the fixed-point tier per call at
-its precision, the float tier once per side, cached in ``Side.weights``.
-Every term is nonnegative, so nothing cancels: each float row adds about
-3u at most to the relative error of a weight (u = 2**-53), so a weight of
-row a errs by about 3 a u at most (measured below 0.6 a u to a = 400).
+recurrence, w[r,b] = ((r+b-d) w[r-d,b] + b w[r-d,b-1])/(r+b), and the
+fixed-point tier below builds them per call at its precision, without
+the triangle.
 
-At complex s the "recurrence" path takes A_a(s) as a series power,
+At complex s both paths take A_a(s) as a series power,
 A_a(s) = [t**a] L(t)**s with L = sum_k t**k/(dk+1), the paper's
 potential polynomials. B = L**s = exp(s log L) gives B' = s (L'/L) B,
 so its coefficients obey
@@ -41,13 +37,12 @@ so its coefficients obey
 with K_k = [t**(k-1)] L'/L real, positive and independent of s: the
 exponential form of the power recurrence (Knuth, TAOCP vol. 2, 4.7).
 Each term costs one dot product over the earlier coefficients, whereas
-the summands g[r,b] grow far beyond A_a(s) and cancel in floating point
-(at s = 1+i, N = 400, to a partial sum of -1.5e15). Against a
-200-bit reference every term of this path lies within 2e-14 relative
-for |Im s| <= 20 and N <= 150, and within 3e-15 at N = 1000 at
-s = 0.5+3i and 2+5i. The float weights K are cached in
+the weight sums and the summands g[r,b] grow far beyond A_a(s) and
+cancel in floating point (at s = 1+i, N = 400, to partial sums near
+1e15). Against a 200-bit reference every term of this route lies within
+2e-14 relative for |Im s| <= 20 and N <= 150, and within 3e-15 at
+N = 1000 at s = 0.5+3i and 2+5i. The float weights K are cached in
 ``Side.log_derivative``, built from K_n = n L_n - sum_j L_j K_{n-j}.
-The complex "direct" path still cancels beyond roughly 120 terms.
 
 For rational s = p/q each term A_a(s)/(s+r+1) comes out correctly
 rounded, from the first of three tiers that can vouch for it:
@@ -70,8 +65,8 @@ rounded, from the first of three tiers that can vouch for it:
    here: every A_a(s) has the factor s, and no interval can certify 0.
 
 All three give the same bits, since each returns the correctly rounded
-value of the same rational. For non-real s both paths run in complex
-floating point, as above.
+value of the same rational. For non-real s both paths run the series
+power in complex floating point, as above.
 
 Domain checks and the prefactor stay with the callers, as does the
 choice between the exact and the float backend.
@@ -101,14 +96,11 @@ GUARD_BITS = 64
 class Side(NamedTuple):
     """One expansion: row stride ``stride``, kernel ``triangle``, whose
     row a holds T[stride*a, b] for b = 0..a (read by the tables alone),
-    the float ``weights`` T[r,b] b!/(r+b)! of the same rows, built by
-    the float summand recurrence at s = -1, and the float coefficients
-    ``log_derivative`` K_k = [t**(k-1)] L'/L of the series power's base
-    (entry k holds K_k; K_0 = 0)."""
+    and the float coefficients ``log_derivative`` K_k = [t**(k-1)] L'/L
+    of the series power's base (entry k holds K_k; K_0 = 0)."""
 
     stride: int
     triangle: CachedTriangle
-    weights: CachedTriangle
     log_derivative: CachedSequence
 
 
@@ -127,16 +119,6 @@ def _next_row(prev: list[int], left: list[int], a: int, d: int) -> list[int]:
     return row
 
 
-def _float_row(prev: list, d: int) -> list:
-    # row a = len(prev) of the float weights from row a-1:
-    # w[r,b] = (r+b-d)/(r+b) w[r-d,b] + b/(r+b) w[r-d,b-1]
-    a = len(prev)
-    r = d * a
-    return [0] + [x / z * upper + y / z * left for x, y, z, upper, left in zip(
-        range(r + 1 - d, r + a + 1 - d), range(1, a + 1),  # r+b-d, b
-        range(r + 1, r + a + 1), prev[1:] + [0], prev)]  # r+b, upper, left
-
-
 def _log_weight(ks: list[float], n: int, d: int) -> float:
     # K_n = n L_n - sum_{j=1..n-1} L_j K_{n-j}, L_j = 1/(dj+1), from ks =
     # K_0..K_{n-1}: the coefficient of t**(n-1) in L' = L (L'/L). Each
@@ -145,20 +127,16 @@ def _log_weight(ks: list[float], n: int, d: int) -> float:
 
 
 def kernel_side(stride: int) -> Side:
-    """A side whose exact kernel rows, float weights and K are built, and
-    cached, entry by entry, each by its own recurrence."""
+    """A side whose exact kernel rows and K are built, and cached, entry
+    by entry, each by its own recurrence."""
 
     def kernel_row(rows, a):  # rows[-1] is row a-1
         return _next_row(rows[-1], rows[-1], a, stride) if a else [1]
 
-    def weight_row(rows, a):  # the summands at s = -1 are (-1)**b w[r,b]
-        return _float_row(rows[-1], stride) if a else [1.0]
-
     def log_weight(ks, n):
         return _log_weight(ks, n, stride)
 
-    return Side(stride, CachedTriangle(kernel_row), CachedTriangle(weight_row),
-                CachedSequence(log_weight))
+    return Side(stride, CachedTriangle(kernel_row), CachedSequence(log_weight))
 
 
 def as_fraction(s) -> Fraction | None:
@@ -360,22 +338,6 @@ def exact_terms(
     return [complex(t) for t in terms]
 
 
-def _binomials(s: complex, n: int) -> list[complex]:
-    # binom[b] = (s)_b / b!, numerically tame for all b
-    binom = [1.0 + 0j] * n
-    for b in range(1, n):
-        binom[b] = binom[b - 1] * (s - b + 1) / b
-    return binom
-
-
-def _float_coeff(side: Side, binom: list[complex], a: int) -> complex:
-    w = side.weights.row(a)
-    inner = 0j
-    for b in range(a, 0, -1):  # smallest summands first
-        inner += binom[b] * w[b]
-    return inner
-
-
 def _power_coeffs(side: Side, s: complex, n: int):
     """A_1(s)..A_{n-1}(s), the coefficients b_a of B = L**s, from
     B' = s (L'/L) B: a b_a = s sum_{k=1..a} K_k b_{a-k}."""
@@ -389,21 +351,14 @@ def _power_coeffs(side: Side, s: complex, n: int):
         yield b
 
 
-def float_terms(
-    side: Side, s: complex, n_terms: int, path: str, pref=None
-) -> list[complex]:
-    """Terms 0..n_terms-1 of the expansion at complex s in floating
-    point; ``pref`` (complex, or None for no prefactor) multiplies each
-    inner sum before its pole factor divides it."""
+def float_terms(side: Side, s: complex, n_terms: int, pref=None) -> list[complex]:
+    """Terms 0..n_terms-1 of the expansion at complex s, from the series
+    power in floating point (either path); ``pref`` (complex, or None for
+    no prefactor) multiplies each inner sum before its pole factor
+    divides it."""
     d = side.stride
     terms = [1 / (s + 1) if pref is None else pref / (s + 1)]
-    if path == "direct":
-        side.weights.ensure(n_terms - 1)
-        binom = _binomials(s, n_terms)
-        inners = (_float_coeff(side, binom, a) for a in range(1, n_terms))
-    else:
-        inners = _power_coeffs(side, s, n_terms)
-    for a, inner in enumerate(inners, 1):
+    for a, inner in enumerate(_power_coeffs(side, s, n_terms), 1):
         den = s + d * a + 1
         terms.append(inner / den if pref is None else pref * inner / den)
     return terms
@@ -417,8 +372,7 @@ def coefficients(side: Side, s, order: int) -> list:
     if frac is not None:
         sums = _exact_sums(side.stride, frac.numerator, frac.denominator, order + 1)
         return [Fraction(1)] + [Fraction(num, den) for num, den in sums]
-    binom = _binomials(complex(s), order + 1)
-    return [1 + 0j] + [_float_coeff(side, binom, a) for a in range(1, order + 1)]
+    return [1 + 0j] + list(_power_coeffs(side, complex(s), order + 1))
 
 
 def running_sums(terms: list[complex]) -> list[complex]:

@@ -17,22 +17,18 @@ numbers of the first kind (the definition), and the two-term recurrence
     c[a,b] = (a+b-1) * (c[a-1,b] + c[a-1,b-1]),    c[0,0] = 1,
 
 whose equivalence is one of the verified identities. The evaluator also
-offers a "recurrence" path that never touches the triangle. At rational
+offers a "recurrence" path that never touches the triangle: at rational
 s it propagates the summands g[a,b] = (s)_b c[a,b]/(a+b)! directly via
 
-    g[a,b] = (a+b-1)/(a+b) g[a-1,b] + (s-b+1)/(a+b) g[a-1,b-1];
-
-at complex s it takes A_a(s) as the coefficient of t**a in the series
-power (1 + t/2 + t**2/3 + ...)**s.
+    g[a,b] = (a+b-1)/(a+b) g[a-1,b] + (s-b+1)/(a+b) g[a-1,b-1].
 
 Arithmetic backends: for rational s both paths give each term as a
 correctly rounded float, from certified fixed point or, failing that,
 exact integers (see :mod:`gammazeta.factorial_series`). For non-real s
-they run in complex floating point. The "recurrence" path stays
-accurate at depth (every term within 2e-14 relative of a 200-bit
-reference in the checks of that module); the "direct" path is reliable
-only to moderate truncation depth, since its inner sums cancel
-catastrophically beyond roughly 120 terms for non-integer s.
+both paths are one route: A_a(s) is the coefficient of t**a in the
+series power (1 + t/2 + t**2/3 + ...)**s, in complex floating point,
+which stays accurate at depth (every term within 2e-14 relative of a
+200-bit reference in the checks of that module).
 """
 
 from __future__ import annotations
@@ -97,11 +93,11 @@ def log_series_bell_value(alpha: int, beta: int) -> Fraction:
 def expansion_terms(s, n_terms: int, path: str = "direct") -> list[complex]:
     """The first ``n_terms`` terms of the expansion (index a = 0..n_terms-1).
 
-    Term 0 is 1/(s+1); term a is A_a(s)/(s+a+1). ``path`` selects the
-    weights of the kernel triangle ("direct") or the summand recurrence
-    ("recurrence"; the series power at complex s). Rational s gives
-    correctly rounded terms; complex s runs in floating point, where the
-    "direct" sums cancel catastrophically beyond roughly 120 terms.
+    Term 0 is 1/(s+1); term a is A_a(s)/(s+a+1). At rational s ``path``
+    selects the weights of the kernel triangle ("direct") or the summand
+    recurrence ("recurrence"), and each term comes out correctly
+    rounded; complex s runs the series power in floating point on
+    either path.
     """
     fs.check_request(n_terms, path)
     frac = fs.as_fraction(s)
@@ -112,7 +108,7 @@ def expansion_terms(s, n_terms: int, path: str = "direct") -> list[complex]:
     sc = complex(s)
     if abs(sc + 1) < POLE_TOLERANCE:
         raise PoleProximityError("denominator s+1 vanishes")
-    return fs.float_terms(SIDE, sc, n_terms, path)
+    return fs.float_terms(SIDE, sc, n_terms)
 
 
 def partial_sums(s, n_terms: int, path: str = "direct") -> list[complex]:

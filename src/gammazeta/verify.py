@@ -58,14 +58,33 @@ def _bell_identity(bell_value: Callable, stride: int, depth: int, rng) -> str | 
     return None
 
 
+def _power_base(stride: int, order: int) -> bell.TruncatedSeries:
+    # the series 1 + sum_m t**m / (stride m + 1) through t**order, whose
+    # powers give the side's A_a(s)
+    return bell.TruncatedSeries([Fraction(1, stride * m + 1) for m in range(order + 1)])
+
+
 def _path_equivalence(module, points, n_terms: int, depth: int, rng) -> str | None:
     for s in points:
+        if isinstance(s, complex):
+            # both paths run one float route at complex s, so each A_a(s)
+            # they give, terms[a] (s+da+1) / (terms[0] (s+1)) whatever the
+            # prefactor, is held against Miller's recurrence on the base
+            d = module.SIDE.stride
+            power = bell.series_pow(_power_base(d, n_terms - 1), s).coeffs
+            for path in ("direct", "recurrence"):
+                terms = module.expansion_terms(s, n_terms, path)
+                for a, (t, want) in enumerate(zip(terms, power)):
+                    got = t * (s + d * a + 1) / (terms[0] * (s + 1))
+                    if abs(got - want) > 1e-12 * max(1.0, abs(want)):
+                        return (f"{path} A_{a}(s) off the series power at s={s}: "
+                                f"{abs(got - want):.2e}")
+            continue
+        # real s runs the exact backend, whose paths agree bit for bit
         direct = module.partial_sums(s, n_terms, "direct")
         rec = module.partial_sums(s, n_terms, "recurrence")
-        # real s runs the exact backend, whose paths agree bit for bit
-        exact = not isinstance(s, complex)
         for n, (d, r) in enumerate(zip(direct, rec), start=1):
-            if (d != r) if exact else abs(d - r) > 1e-12 * max(1.0, abs(d)):
+            if d != r:
                 return f"paths diverge at s={s}, {n} terms: {abs(d - r):.2e}"
     return None
 
@@ -74,10 +93,8 @@ def _integrand_power_identity(
     coeffs: Callable, stride: int, powers: tuple, order: int, series: str, depth: int, rng
 ) -> str | None:
     # brace coefficients equal the exact powers, integer and fractional,
-    # of the series 1 + sum_m t**m / (stride (m+1) + 1)
-    base = bell.TruncatedSeries(
-        [Fraction(1)] + [Fraction(1, stride * (m + 1) + 1) for m in range(order)]
-    )
+    # of the side's base series
+    base = _power_base(stride, order)
     for r in powers:
         if tuple(coeffs(r, order).coeffs) != bell.series_pow(base, r).coeffs:
             return f"power {r} of the {series} series disagrees with brace coefficients"

@@ -30,22 +30,21 @@ z[m,k] = b[m,k](s)_k/(m+k)! directly via
 
     z[m,k] = (m+k-2)/(m+k) z[m-2,k] + (s-k+1)/(m+k) z[m-2,k-1]
 
-at rational s; at complex s it takes the inner sum of term m as the
-coefficient of u**m in the series power (1 + u/3 + u**2/5 + ...)**s.
+at rational s.
 
 Backends mirror the Gamma evaluator: correctly rounded terms for
-rational s (certified fixed point, exact integers as the last resort),
-complex floating point otherwise, where the "recurrence" path stays
-accurate at depth and the "direct" sums cancel catastrophically beyond
-roughly 120 terms. The comparison target is always the entire
-product eta(s)Gamma(s), never zeta alone, so s = 1 needs no special
-casing.
+rational s (certified fixed point, exact integers as the last resort);
+at complex s both paths take the inner sum of term m as the coefficient
+of u**m in the series power (1 + u/3 + u**2/5 + ...)**s, in complex
+floating point, accurate at depth. The comparison target is always the
+entire product eta(s)Gamma(s), never zeta alone, so s = 1 needs no
+special casing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, inf
+from math import factorial, inf, isfinite
 
 from . import bell, factorial_series as fs, mittag_leffler, oracles
 from .combinatorics import binomial
@@ -119,13 +118,12 @@ def expansion_terms(s, n_terms: int, path: str = "direct") -> list[complex]:
     frac = fs.as_fraction(s)
     if s.real <= 0:  # on the exact value: complex(1e-400) is 0
         raise DomainError("expansion requires Re(s) > 0")
-    if frac is None:
-        sc = complex(s)
-        return fs.float_terms(SIDE, sc, n_terms, path, 2 ** (sc - 1) / sc)
-    sf = float(frac)
+    sf = complex(s) if frac is None else float(frac)
     pref = 2 ** (sf - 1) / sf if sf else inf
-    if pref == inf:  # s below about 2.8e-309
+    if not (isfinite(pref.real) and isfinite(pref.imag)):  # |s| below about 1e-308
         raise OverflowError("the prefactor 2**(s-1)/s is beyond the float range")
+    if frac is None:
+        return fs.float_terms(SIDE, sf, n_terms, pref)
     return fs.exact_terms(SIDE, frac, n_terms, path, pref)
 
 

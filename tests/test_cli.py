@@ -154,14 +154,14 @@ class TestEval:
 
     def test_complex_recurrence_at_depth(self):
         # 400 terms at s = 1+i stay within their 1/N truncation of
-        # Gamma(2+i) = 0.6529654964201668+0.3430658398165454i (mpmath)
-        code, out = run_cli(
-            ["eval", "gamma", "--s", "1,1", "--terms", "400", "--path", "recurrence"]
-        )
-        assert code == 0
-        total = json.loads(out)["payload"]["partial_sum"]
+        # Gamma(2+i) = 0.6529654964201668+0.3430658398165454i (mpmath),
+        # on the default path and on recurrence
         gamma = 0.6529654964201668 + 0.3430658398165454j
-        assert abs(complex(total["re"], total["im"]) - gamma) <= 4e-3
+        for extra in ([], ["--path", "direct"], ["--path", "recurrence"]):
+            code, out = run_cli(["eval", "gamma", "--s", "1,1", "--terms", "400", *extra])
+            assert code == 0
+            total = json.loads(out)["payload"]["partial_sum"]
+            assert abs(complex(total["re"], total["im"]) - gamma) <= 4e-3, extra
 
     def test_domain_error_exit_code(self):
         code, _ = run_cli(["eval", "zeta", "--s", "-1", "--terms", "5"])
@@ -239,11 +239,22 @@ class TestVerify:
         assert "FAIL stirling:always_fails: synthetic failure" in out
 
     def test_path_equivalence_is_bit_for_bit_at_real_points(self):
+        # one ulp between the paths fails a real point; at a complex point
+        # a term one ulp off the series power passes
+        from gammazeta import gamma_expansion
+
         class OneUlpApart:
+            SIDE = gamma_expansion.SIDE
+
             @staticmethod
             def partial_sums(s, n_terms, path):
                 value = complex(1.0) if path == "direct" else complex(1.0 + 2**-52)
                 return [value] * n_terms
+
+            @staticmethod
+            def expansion_terms(s, n_terms, path):
+                terms = gamma_expansion.expansion_terms(s, n_terms, path)
+                return terms[:1] + [t * (1 + 2**-52) for t in terms[1:]]
 
         check = verify_mod._path_equivalence
         assert check(OneUlpApart, (1 + 1j,), 3, 0, None) is None
@@ -501,6 +512,23 @@ def test_s_beyond_the_float_range_says_so(argv, capsys):
     assert err.startswith("numeric-domain error: ")
     assert "float" in err and "requires" not in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "zeta", "--s", "5e-324,5e-324", "--terms", "3"],
+        ["converge", "zeta", "--s", "1e-320,-1e-320", "--max-terms", "3", "--stride", "1",
+         "--path", "recurrence"],
+    ],
+)
+def test_complex_zeta_prefactor_beyond_the_float_range(argv, capsys):
+    # 2**(s-1)/s overflows at |s| ~ 1e-320; the expansion says so before
+    # any oracle runs
+    assert run_cli(argv) == (cli.EXIT_DOMAIN, "")
+    assert capsys.readouterr().err == (
+        "numeric-domain error: float overflow "
+        "(the prefactor 2**(s-1)/s is beyond the float range)\n")
 
 
 @pytest.mark.parametrize(

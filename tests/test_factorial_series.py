@@ -76,22 +76,25 @@ def _power_reference(d, s, n, mpmath):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), n_terms=st.integers(1, 150))
 def test_float_recurrence_terms_are_accurate(side_name, data, n_terms):
-    # every complex recurrence term (no prefactor) lies within 1e-12
-    # relative of the 200-bit reference. |s| >= 1e-300 keeps the terms,
-    # about s l_a/(s+r+1) for tiny s, in the normal range: a subnormal
-    # term carries too few bits for a relative bound, even correctly rounded
+    # every complex term, on either path, lies within 1e-12 relative of
+    # the 200-bit reference (the zeta side's with the float prefactor).
+    # |s| >= 1e-300 keeps the terms, about s l_a/(s+r+1) for tiny s, in
+    # the normal range: a subnormal term carries too few bits for a
+    # relative bound, even correctly rounded
     mpmath = pytest.importorskip("mpmath")
-    side = ge.SIDE if side_name == "gamma" else ze.SIDE
+    module = ge if side_name == "gamma" else ze
     low = -1.0 if side_name == "gamma" else 0.0
     re = data.draw(st.floats(low, 4.0, exclude_min=True, exclude_max=True))
     im = data.draw(st.floats(-20.0, 20.0).filter(lambda y: y != 0))
     s = complex(re, im)
     assume(abs(s) >= 1e-300)
     assume(side_name == "zeta" or abs(s + 1) >= ge.POLE_TOLERANCE)
-    terms = fs.float_terms(side, s, n_terms, "recurrence")
-    reference = _power_reference(side.stride, s, n_terms, mpmath)
-    for a, (got, want) in enumerate(zip(terms, reference)):
-        assert abs(got - want) <= 1e-12 * abs(want), (s, a)
+    reference = _power_reference(module.SIDE.stride, s, n_terms, mpmath)
+    pref = 1 if module is ge else 2 ** (s - 1) / s
+    for path in fs.PATHS:
+        terms = module.expansion_terms(s, n_terms, path)
+        for a, (got, want) in enumerate(zip(terms, reference)):
+            assert abs(got - pref * want) <= 1e-12 * abs(pref * want), (s, a, path)
 
 
 def _exact_reference(side, s, n_terms, pref=None):
@@ -185,14 +188,30 @@ def test_only_s_zero_skips_the_fixed_tier(monkeypatch):
             assert len(passes) == 1
 
 
+@pytest.mark.parametrize("coeffs, stride, s, order", [
+    (ge.integrand_coeffs, 1, 1 + 1j, 400), (ze.log_ratio_coeffs, 2, 2 + 5j, 300)])
+def test_complex_coefficients_are_the_series_power(coeffs, stride, s, order):
+    # each A_a(s) within 1e-12 relative of bell.series_pow, Miller's
+    # recurrence on the base 1 + sum_m t**m/(stride m + 1), at depths
+    # where a sum over the triangle's weights cancels
+    from gammazeta import bell
+
+    base = bell.TruncatedSeries([Fraction(1, stride * m + 1) for m in range(order + 1)])
+    want = bell.series_pow(base, s).coeffs
+    got = coeffs(s, order).coeffs
+    assert len(got) == order + 1
+    for a, (x, y) in enumerate(zip(got, want)):
+        assert abs(x - y) <= 1e-12 * abs(y), a
+
+
 def test_evaluation_never_grows_the_exact_triangle():
     # only coeff, coeff_table and the Bell values read the exact kernel
-    # triangle; the float weights come from a recurrence of their own
+    # triangle; the weights come from recurrences of their own
     side = fs.kernel_side(2)
     for path in fs.PATHS:
         fs.exact_terms(side, Fraction(2), 60, path)
         fs.exact_terms(side, Fraction(0), 60, path)
-        fs.float_terms(side, 1 + 1j, 60, path)
+    fs.float_terms(side, 1 + 1j, 60)
     fs.coefficients(side, Fraction(3), 30)
     fs.coefficients(side, 0.5 + 1j, 30)
     assert side.triangle._rows == []
@@ -200,39 +219,21 @@ def test_evaluation_never_grows_the_exact_triangle():
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_complex_s_builds_no_exact_kernel_row(monkeypatch, stride):
-    # the float weights, and so complex direct terms and coefficients,
-    # come without a single big-integer kernel row
+    # K, and so complex terms and coefficients, come without a single
+    # big-integer kernel row
     def fail(*args):
         raise AssertionError("an exact kernel row was built")
 
     monkeypatch.setattr(fs, "_next_row", fail)
     side = fs.kernel_side(stride)
-    assert len(fs.float_terms(side, 1 + 1j, 60, "direct")) == 60
+    assert len(fs.float_terms(side, 1 + 1j, 60)) == 60
     assert len(fs.coefficients(side, 0.5 + 1j, 30)) == 31
 
 
-def test_interrupted_weight_build_keeps_its_rows_in_place(monkeypatch):
-    # a KeyboardInterrupt in the middle of a build, as a library caller
-    # may raise it, leaves the cached weight rows as an uninterrupted
-    # build makes them
-    side = fs.kernel_side(1)
-    float_row = fs._float_row
-
-    def interrupt(prev, d):
-        if len(prev) == 7:
-            raise KeyboardInterrupt
-        return float_row(prev, d)
-
-    monkeypatch.setattr(fs, "_float_row", interrupt)
-    with pytest.raises(KeyboardInterrupt):
-        side.weights.ensure(20)
-    monkeypatch.undo()
-    assert side.weights.rows(30) == fs.kernel_side(1).weights.rows(30)
-
-
 def test_interrupted_log_weight_build_keeps_a_valid_prefix(monkeypatch):
-    # the same for K: the entries before the interrupted one stay, and a
-    # later build carries on from them
+    # a KeyboardInterrupt in the middle of a build of K, as a library
+    # caller may raise it, keeps the entries before the interrupted one,
+    # and a later build carries on from them
     side = fs.kernel_side(2)
     log_weight = fs._log_weight
 
@@ -275,41 +276,52 @@ def test_log_weights_lie_in_0_to_1_over_d_up_to_the_cap(stride):
 
 
 def test_log_weights_are_built_lazily_to_the_depth_asked():
-    # none at import; a complex recurrence eval at 20 terms builds K_0..K_19
-    # and no weight row, a direct one no K
+    # none at import; a complex eval at N terms builds K_0..K_{N-1} on
+    # either path, and only the side asked for
     code = ("import contextlib, io\n"
             "from gammazeta import cli, gamma_expansion as ge, zeta_expansion as ze\n"
             "sides = (ge.SIDE, ze.SIDE)\n"
             "print(*[len(side.log_derivative._rows) for side in sides])\n"
-            "for path in ('recurrence', 'direct'):\n"
+            "for path, n in (('direct', '20'), ('recurrence', '30')):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        cli.main(['eval', 'gamma', '--s', '1,1', '--terms', '20', '--path', path])\n"
-            "    print(len(ge.SIDE.log_derivative._rows), len(ge.SIDE.weights._rows))\n")
+            "        cli.main(['eval', 'gamma', '--s', '1,1', '--terms', n, '--path', path])\n"
+            "    print(*[len(side.log_derivative._rows) for side in sides])\n")
     src = str(Path(fs.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == ["0 0", "20 0", "20 20"]
+    assert proc.stdout.split("\n")[:3] == ["0 0", "20 0", "30 0"]
 
 
 @pytest.mark.parametrize("module, s, n_terms", [(ge, 1 + 1j, 50), (ze, 2 + 1j, 40)])
 def test_complex_paths_share_no_weight(monkeypatch, module, s, n_terms):
-    # a wrong float weight, as the ledger's path-equivalence mutants make,
-    # moves the complex direct terms and leaves the recurrence terms alone,
-    # so verify compares two independent routes
+    # at complex s both paths run the series power on the cached K, and
+    # verify holds them against bell.series_pow, which reads no K. A wrong
+    # K, as the ledger's path-equivalence mutants make, moves both paths
+    # and leaves that partner alone, so the verify line compares two
+    # independent routes and fails
+    from gammazeta import bell, verify
+
+    check = {ge: verify.check_gamma_path_equivalence,
+             ze: verify.check_zeta_path_equivalence}[module]
+    base = verify._power_base(module.SIDE.stride, n_terms - 1)
     before = {path: _bits(module.expansion_terms(s, n_terms, path)) for path in fs.PATHS}
-    weights = module.SIDE.weights
-    weights.ensure(10)
-    rows = list(weights._rows)
-    rows[10] = [w + (b == 3) for b, w in enumerate(rows[10])]
-    monkeypatch.setattr(weights, "_rows", rows)
-    assert _bits(module.expansion_terms(s, n_terms, "direct")) != before["direct"]
-    assert _bits(module.expansion_terms(s, n_terms, "recurrence")) == before["recurrence"]
+    partner = bell.series_pow(base, s)
+    assert check(0, None) is None
+    ks = module.SIDE.log_derivative
+    ks.ensure(10)
+    entries = list(ks._rows)
+    entries[10] += 0.5
+    monkeypatch.setattr(ks, "_rows", entries)
+    for path in fs.PATHS:
+        assert _bits(module.expansion_terms(s, n_terms, path)) != before[path]
+    assert bell.series_pow(base, s) == partner
+    assert check(0, None).startswith("direct A_10(s) off the series power")
 
 
 def test_deep_direct_rows_stay_small():
-    # no exact kernel triangle is kept, for integer s or for the float
-    # weights: cached, it would take 867 and 198 MiB here. The child reads
+    # no exact kernel triangle is kept, for integer s or for complex s:
+    # cached, it would take 867 and 198 MiB here. The child reads
     # its own peak, VmHWM: on Linux its ru_maxrss starts from the RSS of
     # the process that forked it, here the whole test session
     code = ("from gammazeta import zeta_expansion as ze\n"
@@ -328,27 +340,18 @@ def test_deep_direct_rows_stay_small():
 @pytest.mark.parametrize("stride", [1, 2])
 def test_weight_recurrence_gives_the_kernel_weights(stride):
     # w[r,b] = ((r+b-d) w[r-d,b] + b w[r-d,b-1])/(r+b) reproduces
-    # T[r,b] b!/(r+b)! from the exact triangle; the cached float weights,
-    # the same recurrence in floating point, stay within a*u relative of
-    # them (u = 2**-53)
+    # T[r,b] b!/(r+b)! from the exact triangle: the summand recurrence at
+    # s = -1, which the fixed-point direct rows run
     side = fs.kernel_side(stride)
     row = [Fraction(1)]
-    for a in range(1, 201):
+    for a in range(1, 31):
         r = stride * a
         kernel = side.triangle.row(a)
-        if a <= 30:
-            prev = row + [Fraction(0)]
-            row = [Fraction(0)] + [((r + b - stride) * prev[b] + b * prev[b - 1]) / (r + b)
-                                   for b in range(1, a + 1)]
-            assert row == [Fraction(kernel[b] * factorial(b), factorial(r + b))
-                           for b in range(a + 1)]
-        weights = side.weights.row(a)
-        assert len(weights) == a + 1
-        for b in range(1, a + 1):
-            # |m/den - T b!/(r+b)!| <= a u T b!/(r+b)!, over integers
-            m, den = weights[b].as_integer_ratio()
-            exact = kernel[b] * factorial(b) * den
-            assert abs(m * factorial(r + b) - exact) << 53 <= a * exact, (a, b)
+        prev = row + [Fraction(0)]
+        row = [Fraction(0)] + [((r + b - stride) * prev[b] + b * prev[b - 1]) / (r + b)
+                               for b in range(1, a + 1)]
+        assert row == [Fraction(kernel[b] * factorial(b), factorial(r + b))
+                       for b in range(a + 1)]
 
 
 @settings(max_examples=60, deadline=None)

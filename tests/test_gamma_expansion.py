@@ -143,7 +143,7 @@ class TestExpansion:
 
     def test_float_path_matches_exact_at_moderate_depth(self):
         exact = sum(ge.expansion_terms(0.5, 60, "direct"))
-        floats = sum(fs.float_terms(ge.SIDE, complex(0.5), 60, "direct"))
+        floats = sum(fs.float_terms(ge.SIDE, complex(0.5), 60))
         assert abs(exact - floats) < 1e-13
 
     def test_term_magnitudes_recorded(self):

@@ -9,7 +9,13 @@ rows to their own float recurrence. The complex ``recurrence`` records
 (in ``terms.json``, ``terms_cap.json`` and one ``cli.json`` command)
 were re-captured once, when that path moved from the float summand
 triangle to the series power, after a test held its terms within 1e-12
-of a 200-bit mpmath reference; every other record kept its bytes.
+of a 200-bit mpmath reference. The complex ``direct`` records (in
+``terms.json``, ``terms_cap.json`` and two ``cli.json`` commands) and
+the complex records of ``coeffs.json`` were re-captured once more, when
+every complex s moved to the series power on both paths, after the same
+test held both paths to that reference; each re-captured ``direct`` term
+has the bits of its ``recurrence`` twin. Every other record kept its
+bytes.
 
 Every term's bits on both backends and paths, the exact and float
 coefficient helpers, the quadrature results (value and error bits,

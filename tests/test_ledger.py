@@ -1,11 +1,12 @@
 """The verify ledger: for every line of ``verify all``, a named mutant of
 the code that line checks, under which the line FAILs.
 
-A mutant is one monkeypatched attribute, or one edited row of a cached
-triangle. A row is edited in a copy of the triangle's row list, so the
-rows built while the mutant is on go away with it. ``run_suite("all",
-DEPTH)`` runs once clean and once under each mutant, with the cached
-derivative polynomials and brackets dropped before and after. A line's
+A mutant is one monkeypatched attribute, one edited row of a cached
+triangle, or one edited entry of a cached sequence. A row or entry is
+edited in a copy of the cache's list, so the entries built while the
+mutant is on go away with it. ``run_suite("all", DEPTH)`` runs once
+clean and once under each mutant, with the cached derivative
+polynomials and brackets dropped before and after. A line's
 failure set is the set of mutants under which it fails. Every line
 fails under its own mutant. No two lines have the same failure set: a
 line that fails exactly when another line fails compares nothing of its
@@ -47,6 +48,18 @@ def _edit(triangle, n: int, deltas: dict):
         rows = list(triangle._rows)
         rows[n] = [v + deltas.get(k, 0) for k, v in enumerate(rows[n])]
         mp.setattr(triangle, "_rows", rows)
+
+    return apply
+
+
+def _shift(sequence, n: int, delta):
+    """Add delta to entry n of a cached sequence."""
+
+    def apply(mp):
+        sequence.ensure(n)
+        entries = list(sequence._rows)
+        entries[n] += delta
+        mp.setattr(sequence, "_rows", entries)
 
     return apply
 
@@ -124,8 +137,8 @@ LEDGER = [
      _edit(_G.triangle, 4, {1: 1})),
     ("c_bell_identity", "c[5,3] += 1",
      _edit(_G.triangle, 5, {3: 1})),
-    ("gamma_path_equivalence", "float weight w[10,3] of the Gamma side += 1",
-     _edit(_G.weights, 10, {3: 1.0})),
+    ("gamma_path_equivalence", "K_10 of the Gamma side's series power += 0.5",
+     _shift(_G.log_derivative, 10, 0.5)),
     ("gamma_integrand_power_identity", "exact A_a(s) of the Gamma side doubled",
      _exact_sums_doubled(1)),
     ("gamma_known_values", "exact Gamma-side terms from index 60 on x1000",
@@ -147,8 +160,8 @@ LEDGER = [
      _edit(_Z.triangle, 3, {1: 1})),
     ("b_bell_identity", "b[6,2] += 1",
      _edit(_Z.triangle, 3, {2: 1})),
-    ("zeta_path_equivalence", "float weight w[20,3] of the zeta side += 1",
-     _edit(_Z.weights, 10, {3: 1.0})),
+    ("zeta_path_equivalence", "K_10 of the zeta side's series power += 0.5",
+     _shift(_Z.log_derivative, 10, 0.5)),
     ("zeta_integrand_power_identity", "exact A_a(s) of the zeta side doubled",
      _exact_sums_doubled(2)),
     ("zeta_target_convergence", "exact zeta-side terms from index 60 on x1000",

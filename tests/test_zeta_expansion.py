@@ -144,6 +144,12 @@ class TestExpansion:
         with pytest.raises(ValueError):
             ze.expansion_terms(1.0, 0)
 
+    @pytest.mark.parametrize("path", ["direct", "recurrence"])
+    def test_complex_prefactor_beyond_the_float_range_raises(self, path):
+        # 2**(s-1)/s overflows for |s| below about 1e-308, as at real s
+        with pytest.raises(OverflowError, match="prefactor 2"):
+            ze.expansion_terms(5e-324 + 5e-324j, 3, path)
+
     def test_inexact_division_guard(self):
         # the direct route re-derives entries as exact Fractions, so the
         # divisibility structure is exercised on every call
