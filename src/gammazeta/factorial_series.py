@@ -43,6 +43,8 @@ cancel in floating point (at s = 1+i, N = 400, to partial sums near
 2e-14 relative for |Im s| <= 20 and N <= 150, and within 3e-15 at
 N = 1000 at s = 0.5+3i and 2+5i. The float weights K are cached in
 ``Side.log_derivative``, built from K_n = n L_n - sum_j L_j K_{n-j}.
+Each call turns them into complex(K, 0.0) once: a float times a complex
+is promoted to exactly that product, so the bits stay those of real K.
 
 For rational s = p/q each term A_a(s)/(s+r+1) comes out correctly
 rounded, from the first of three tiers that can vouch for it:
@@ -74,6 +76,7 @@ choice between the exact and the float backend.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, fsum, inf, prod
@@ -338,30 +341,36 @@ def exact_terms(
     return [complex(t) for t in terms]
 
 
-def _power_coeffs(side: Side, s: complex, n: int):
+def _power_coeffs(side: Side, s: complex, n: int) -> list[complex]:
     """A_1(s)..A_{n-1}(s), the coefficients b_a of B = L**s, from
     B' = s (L'/L) B: a b_a = s sum_{k=1..a} K_k b_{a-k}."""
-    ks = side.log_derivative.prefix(n)[1:]  # K_1..K_{n-1}
+    # K_1..K_{n-1} as complex(K, 0.0), which is what complex promotes a
+    # float K to after float.__mul__ fails: the same products, the same
+    # bits, without that failed dispatch in every product
+    ks = list(map(complex, side.log_derivative.prefix(n)[1:]))
     rb = [1 + 0j]  # b_{a-1}, ..., b_0
     for a in range(1, n):
         # the builtin sum adds complex numbers in order on every Python
-        # from 3.10 to 3.13; over real floats it compensates from 3.12 on
-        b = s * sum(map(mul, ks, rb)) / a
-        rb.insert(0, b)
-        yield b
+        # from 3.10 to 3.13
+        rb.insert(0, s * sum(map(mul, ks, rb)) / a)
+    return rb[-2::-1]
 
 
 def float_terms(side: Side, s: complex, n_terms: int, pref=None) -> list[complex]:
     """Terms 0..n_terms-1 of the expansion at complex s, from the series
     power in floating point (either path); ``pref`` (complex, or None for
     no prefactor) multiplies each inner sum before its pole factor
-    divides it."""
+    divides it. Raises OverflowError where the series power leaves the
+    float range."""
     d = side.stride
-    terms = [1 / (s + 1) if pref is None else pref / (s + 1)]
-    for a, inner in enumerate(_power_coeffs(side, s, n_terms), 1):
-        den = s + d * a + 1
-        terms.append(inner / den if pref is None else pref * inner / den)
-    return terms
+    coeffs = _power_coeffs(side, s, n_terms)
+    # an inf or nan coefficient enters every later dot product, so the
+    # last coefficient is finite only if all of them are
+    if coeffs and not cmath.isfinite(coeffs[-1]):
+        raise OverflowError(f"the series power at s = {s!r} is beyond the float range")
+    if pref is None:
+        return [1 / (s + 1)] + [c / (s + d * a + 1) for a, c in enumerate(coeffs, 1)]
+    return [pref / (s + 1)] + [pref * c / (s + d * a + 1) for a, c in enumerate(coeffs, 1)]
 
 
 def coefficients(side: Side, s, order: int) -> list:
@@ -372,7 +381,7 @@ def coefficients(side: Side, s, order: int) -> list:
     if frac is not None:
         sums = _exact_sums(side.stride, frac.numerator, frac.denominator, order + 1)
         return [Fraction(1)] + [Fraction(num, den) for num, den in sums]
-    return [1 + 0j] + list(_power_coeffs(side, complex(s), order + 1))
+    return [1 + 0j] + _power_coeffs(side, complex(s), order + 1)
 
 
 def running_sums(terms: list[complex]) -> list[complex]:

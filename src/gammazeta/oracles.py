@@ -65,7 +65,10 @@ def gamma_ref(s) -> complex:
         power = t ** (z + 0.5)
     except ZeroDivisionError as exc:  # its phase overflowed: Im(s) beyond float range
         raise DomainError(f"Gamma oracle out of float range at s = {s!r}") from exc
-    return math.sqrt(2 * math.pi) * power * cmath.exp(-t) * acc
+    value = math.sqrt(2 * math.pi) * power * cmath.exp(-t) * acc
+    if not cmath.isfinite(value):  # |s| far beyond the range of Gamma's floats
+        raise DomainError(f"Gamma oracle out of float range at s = {s!r}")
+    return value
 
 
 # At this order n d_n < 2**1023, so every partial sum of eta_ref stays finite.
@@ -84,6 +87,19 @@ def _borwein_weights(n: int) -> tuple[list[int], int]:
     return ds, ds[n]
 
 
+#: order n -> ([d_n - d_k for k = 0..n-1], d_n), each integer rounded once
+#: to a float; each order is built on first use and kept
+_ETA_WEIGHTS: list = [None] * (_MAX_ORDER + 1)
+
+
+def _eta_weights(n: int) -> tuple[list[float], float]:
+    weights = _ETA_WEIGHTS[n]
+    if weights is None:
+        ds, dn = _borwein_weights(n)
+        weights = _ETA_WEIGHTS[n] = [float(dn - d) for d in ds[:n]], float(dn)
+    return weights
+
+
 def eta_ref(s, acceleration_order: int | None = None) -> complex:
     """Dirichlet eta by Borwein's alternating-series acceleration.
 
@@ -91,6 +107,10 @@ def eta_ref(s, acceleration_order: int | None = None) -> complex:
     |Im(s)| <= 30 at the default order, which grows with |Im(s)|. An
     order beyond 399, which the default reaches from |Im(s)| of about
     151.7 on to inf and nan, raises DomainError; one below 1, ValueError.
+
+    The weights of each order are read as floats from ``_ETA_WEIGHTS``,
+    built on the first call at that order: at most 400 orders of floats,
+    the same doubles an integer weight takes when it divides a complex.
     """
     s = complex(s)
     if s.real <= 0:
@@ -106,10 +126,10 @@ def eta_ref(s, acceleration_order: int | None = None) -> complex:
             f"eta oracle needs acceleration order {n} at s = {s!r}, "
             f"beyond {_MAX_ORDER}; its sums would overflow"
         )
-    ds, dn = _borwein_weights(n)
+    weights, dn = _eta_weights(n)
     acc = 0j
-    for k in range(n):
-        term = (dn - ds[k]) / complex(k + 1) ** s
+    for k, w in enumerate(weights):
+        term = w / complex(k + 1) ** s
         acc += term if k % 2 == 0 else -term
     return acc / dn
 

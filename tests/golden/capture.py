@@ -22,6 +22,11 @@ that has the current API.
 - ``terms_cap.json``: the same digests for integer s=2, gamma s=3/2
   and zeta s=3/4 at the term cap (N=1000), and complex s=1+i at N=400,
   on both sides.
+- ``complex_sweep.json``: one SHA-256 over :func:`sweep_lines`, the
+  ``float.hex`` of the float route at ``SWEEP_DRAWS`` seeded complex s
+  per side, N log-uniform in 1..300: the terms of both paths, ``evaluate``'s
+  ``reference`` and ``rel_error``, the coefficient helper to order 60,
+  and, on the zeta side, ``eta_ref`` at the orders ``SWEEP_ETA_ORDERS``.
 - ``coeffs.json``: ``integrand_coeffs`` and ``log_ratio_coeffs`` to
   order 30, exact Fractions as strings, complex floats as ``float.hex``.
 - ``cli.json``: the stdout of a set of CLI commands, byte for byte.
@@ -49,6 +54,7 @@ import hashlib
 import io
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -176,6 +182,44 @@ def collect_terms_800() -> dict:
 
 def collect_terms_cap() -> dict:
     return _case_digests(CASES_CAP)
+
+
+SWEEP_DRAWS = 1000
+SWEEP_ORDER = 60
+SWEEP_ETA_ORDERS = (1, 36, 120, 399)
+# side -> (lowest Re s, coefficient helper); Re s up to 6, |Im s| <= 25
+SWEEP_SIDES = {
+    "gamma": (-1.0, gamma_expansion.integrand_coeffs),
+    "zeta": (0.0, zeta_expansion.log_ratio_coeffs),
+}
+
+
+def sweep_lines():
+    """``float.hex`` lines of the float route at seeded complex draws:
+    a mismatch in the digest is found by diffing this listing between
+    two commits."""
+    rng = random.Random(1010)
+    for side, (lowest, helper) in SWEEP_SIDES.items():
+        module = SIDES[side]
+        for _ in range(SWEEP_DRAWS):
+            s = complex(rng.uniform(lowest, 6.0), rng.uniform(-25.0, 25.0))
+            n = round(300 ** rng.random())  # log-uniform in 1..300
+            yield f"{side} {_hex(s)} {n}"
+            for path in PATHS:
+                yield from map(_hex, module.expansion_terms(s, n, path))
+            rep = module.evaluate(s, n)
+            yield f"{_hex(rep.reference)} {float.hex(rep.rel_error)}"
+            yield from map(_hex, helper(s, SWEEP_ORDER).coeffs)
+            if side == "zeta":
+                for order in SWEEP_ETA_ORDERS:
+                    yield _hex(oracles.eta_ref(s, order))
+
+
+def collect_complex_sweep() -> dict:
+    digest = hashlib.sha256()
+    for line in sweep_lines():
+        digest.update(line.encode() + b"\n")
+    return {"sha256": digest.hexdigest()}
 
 
 def _coeff_text(c) -> str:
@@ -403,6 +447,7 @@ COLLECTORS = {
     "terms_deep.json": collect_deep_terms,
     "terms_800.json": collect_terms_800,
     "terms_cap.json": collect_terms_cap,
+    "complex_sweep.json": collect_complex_sweep,
     "coeffs.json": collect_coeffs,
     "cli.json": collect_cli,
     "quadrature.json": collect_quadrature,

@@ -598,7 +598,7 @@ def test_phase_beyond_float_range_is_a_domain_error(argv, capsys):
         ["eval", "zeta", "--s", "0.01,153", "--terms", "3"],
         ["eval", "zeta", "--s", "0.5,2000", "--terms", "3"],
         ["converge", "zeta", "--s", "0.5,1e6", "--max-terms", "3", "--stride", "1"],
-        ["eval", "zeta", "--s", "0.5,1e308", "--terms", "3"],
+        ["eval", "zeta", "--s", "0.5,1e308", "--terms", "1"],  # no A_a(s) to overflow
     ],
 )
 def test_eta_oracle_order_cap_is_a_domain_error(argv, capsys):
@@ -609,6 +609,26 @@ def test_eta_oracle_order_cap_is_a_domain_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric-domain error: eta oracle needs ")
     assert "acceleration order" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "gamma", "--s", "999,1000", "--terms", "3"], "Gamma oracle out of float range"),
+        (["converge", "gamma", "--s", "1e10,1e10", "--max-terms", "4", "--stride", "2",
+          "--format", "csv"], "Gamma oracle out of float range"),
+        (["eval", "zeta", "--s", "0.5,1e308", "--terms", "3"], "beyond the float range"),
+        (["eval", "gamma", "--s", "1e300,1e300", "--terms", "3"], "beyond the float range"),
+    ],
+)
+def test_a_value_beyond_the_float_range_is_a_domain_error(argv, message, capsys):
+    # a NaN reference or term would print as bare NaN, which is not JSON
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("numeric-domain error: ") and message in err
     assert err.count("\n") == 1
 
 

@@ -163,6 +163,12 @@ class TestExpansion:
         with pytest.raises(ValueError):
             ge.expansion_terms(0.5, 5, path="sideways")
 
+    @pytest.mark.parametrize("path", ["direct", "recurrence"])
+    def test_series_power_beyond_the_float_range_raises(self, path):
+        # A_2(s) has s**2, which overflows; the last term was nan+nanj
+        with pytest.raises(OverflowError, match="beyond the float range"):
+            ge.expansion_terms(1e300 + 1e300j, 3, path)
+
     def test_reference_is_lanczos_gamma(self):
         report = ge.evaluate(0.5, 10)
         assert report.reference == gamma_ref(1.5)

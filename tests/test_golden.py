@@ -15,7 +15,9 @@ the complex records of ``coeffs.json`` were re-captured once more, when
 every complex s moved to the series power on both paths, after the same
 test held both paths to that reference; each re-captured ``direct`` term
 has the bits of its ``recurrence`` twin. Every other record kept its
-bytes.
+bytes. ``complex_sweep.json`` was captured before the series power's dot
+product took complex K and before the eta oracle read its weights from
+a per-order float table.
 
 Every term's bits on both backends and paths, the exact and float
 coefficient helpers, the quadrature results (value and error bits,

@@ -66,6 +66,12 @@ class TestGammaRef:
                 gamma_ref(s)
         assert math.isfinite(gamma_ref(1e-308).real)
 
+    @pytest.mark.parametrize("s", [1000 + 1000j, 1e5 + 1e5j, 1e10 + 1e10j])
+    def test_a_lanczos_value_beyond_the_float_range_is_a_domain_error(self, s):
+        # the power and the exponential of the Lanczos form meet as inf and 0
+        with pytest.raises(DomainError, match="out of float range"):
+            gamma_ref(s)
+
 
 class TestEtaZetaRef:
     def test_known_values(self):

@@ -150,6 +150,12 @@ class TestExpansion:
         with pytest.raises(OverflowError, match="prefactor 2"):
             ze.expansion_terms(5e-324 + 5e-324j, 3, path)
 
+    @pytest.mark.parametrize("path", ["direct", "recurrence"])
+    def test_series_power_beyond_the_float_range_raises(self, path):
+        # the prefactor is finite, but s**2 in A_2(s) overflows
+        with pytest.raises(OverflowError, match="beyond the float range"):
+            ze.expansion_terms(0.5 + 1e200j, 3, path)
+
     def test_inexact_division_guard(self):
         # the direct route re-derives entries as exact Fractions, so the
         # divisibility structure is exercised on every call
