@@ -47,28 +47,27 @@ Each call turns them into complex(K, 0.0) once: a float times a complex
 is promoted to exactly that product, so the bits stay those of real K.
 
 For rational s = p/q each term A_a(s)/(s+r+1) comes out correctly
-rounded, from the first of three tiers that can vouch for it:
+rounded, from the first of two tiers that can vouch for it:
 
-1. Certified fixed point (every s but 0). Every value is an integer
-   scaled by 2**P and each step a floor division, so only small-by-P-bit
-   products appear: the direct path sums each weight row by Horner's
-   rule over the exact ratios of successive binomials (:func:`_horner`).
-   A rigorous bound on the error of each row's sum (:func:`_row_bounds`,
-   :func:`_term_bounds`) gives an interval around the term; the term is
-   kept when both ends of the interval round to the same double. P is
-   chosen from the bound of the last row plus 53 bits and a guard. At
-   integer s >= 0 the binomials C(s, b) and the summands vanish beyond
-   b = s, so the rows of either path stop at column s.
-2. The same at 2P, then 4P, for the terms still open (Ziv's loop: Ziv,
-   ACM TOMS 17(3), 1991; Brent & Zimmermann, Modern Computer
-   Arithmetic, ch. 3-4).
-3. Exact integers (:func:`_exact_sums`): each term over a common
-   denominator, summed by Horner's rule and rounded once. s = 0 starts
-   here: every A_a(s) has the factor s, and no interval can certify 0.
+1. Certified fixed point (every s but 0), in one pass. Every value is an
+   integer scaled by 2**P and each step a floor division, so only
+   small-by-P-bit products appear: the direct path sums each weight row
+   by Horner's rule over the exact ratios of successive binomials
+   (:func:`_horner`). A rigorous bound on the error of each row's sum
+   (:func:`_row_bounds`, :func:`_term_bounds`) gives an interval around
+   the term; the term is kept when both ends of the interval round to
+   the same double. P is chosen from the bound of the last row plus 53
+   bits and a guard. At integer s >= 0 the binomials C(s, b) and the
+   summands vanish beyond b = s, so the rows of either path stop at
+   column s.
+2. Exact integers (:func:`_exact_sums`) for every term the pass leaves
+   open: each term over a common denominator, summed by Horner's rule
+   and rounded once. s = 0 starts here: every A_a(s) has the factor s,
+   and no interval can certify 0.
 
-All three give the same bits, since each returns the correctly rounded
-value of the same rational. For non-real s both paths run the series
-power in complex floating point, as above.
+Both give the same bits, since each returns the correctly rounded value
+of the same rational. For non-real s both paths run the series power in
+complex floating point, as above.
 
 Domain checks and the prefactor stay with the callers, as does the
 choice between the exact and the float backend.
@@ -90,8 +89,6 @@ from .report import SeriesReport
 PATHS = ("direct", "recurrence")
 
 
-#: extra passes at doubled precision before the exact tier takes a term
-ZIV_DOUBLINGS = 2
 #: bits kept beyond the error bound and the 53 of a double
 GUARD_BITS = 64
 
@@ -295,7 +292,7 @@ def _fixed_terms(side: Side, p: int, q: int, n: int, path: str, prec: int,
 
 
 def _start_precision(row_bounds: list[int], p: int, q: int) -> int:
-    """The first precision of Ziv's loop: the bits of the last row's
+    """The precision of the fixed-point pass: the bits of the last row's
     bound on the sum of its n entries, 53 more for a double, a guard, and
     the bits that |s| < 1 takes off every A_a(s), which has the factor s."""
     small = max(0, q.bit_length() - abs(p).bit_length())
@@ -311,23 +308,15 @@ def exact_terms(
     rounded term."""
     p, q = s.numerator, s.denominator
     inner = [None] * n_terms  # inner[a] = A_a/(s+r+1), rounded, for a >= 1
-    todo = range(1, n_terms)
     if p != 0:  # A_a(0) = 0, which no interval certifies
         # the direct path runs the weight rows: the summand rows at s = -1
         rows_s = (-1, 1) if path == "direct" else (p, q)
         bounds = _row_bounds(side.stride, *rows_s, n_terms)
         prec, errs = _start_precision(bounds, p, q), _term_bounds(bounds, p, q, path)
-        for _ in range(1 + ZIV_DOUBLINGS):
-            if not todo:
-                break
-            fixed = _fixed_terms(side, p, q, todo[-1] + 1, path, prec, rows_s, errs)
-            for a, t in enumerate(fixed, 1):
-                if inner[a] is None:
-                    inner[a] = t
-            todo = [a for a in todo if inner[a] is None]
-            prec *= 2
-    if todo:
-        for a, (num, den) in enumerate(_exact_sums(side.stride, p, q, todo[-1] + 1), 1):
+        inner[1:] = _fixed_terms(side, p, q, n_terms, path, prec, rows_s, errs)
+    open_terms = [a for a in range(1, n_terms) if inner[a] is None]
+    if open_terms:
+        for a, (num, den) in enumerate(_exact_sums(side.stride, p, q, open_terms[-1] + 1), 1):
             if inner[a] is None:
                 inner[a] = (num * q) / (den * (p + (side.stride * a + 1) * q))
     head = q / (p + q)  # 1/(s+1)
@@ -343,7 +332,8 @@ def exact_terms(
 
 def _power_coeffs(side: Side, s: complex, n: int) -> list[complex]:
     """A_1(s)..A_{n-1}(s), the coefficients b_a of B = L**s, from
-    B' = s (L'/L) B: a b_a = s sum_{k=1..a} K_k b_{a-k}."""
+    B' = s (L'/L) B: a b_a = s sum_{k=1..a} K_k b_{a-k}. Raises
+    OverflowError where the series power leaves the float range."""
     # K_1..K_{n-1} as complex(K, 0.0), which is what complex promotes a
     # float K to after float.__mul__ fails: the same products, the same
     # bits, without that failed dispatch in every product
@@ -353,6 +343,10 @@ def _power_coeffs(side: Side, s: complex, n: int) -> list[complex]:
         # the builtin sum adds complex numbers in order on every Python
         # from 3.10 to 3.13
         rb.insert(0, s * sum(map(mul, ks, rb)) / a)
+    # an inf or nan coefficient enters every later dot product, so the
+    # last coefficient is finite only if all of them are
+    if not cmath.isfinite(rb[0]):
+        raise OverflowError(f"the series power at s = {s!r} is beyond the float range")
     return rb[-2::-1]
 
 
@@ -364,10 +358,6 @@ def float_terms(side: Side, s: complex, n_terms: int, pref=None) -> list[complex
     float range."""
     d = side.stride
     coeffs = _power_coeffs(side, s, n_terms)
-    # an inf or nan coefficient enters every later dot product, so the
-    # last coefficient is finite only if all of them are
-    if coeffs and not cmath.isfinite(coeffs[-1]):
-        raise OverflowError(f"the series power at s = {s!r} is beyond the float range")
     if pref is None:
         return [1 / (s + 1)] + [c / (s + d * a + 1) for a, c in enumerate(coeffs, 1)]
     return [pref / (s + 1)] + [pref * c / (s + d * a + 1) for a, c in enumerate(coeffs, 1)]

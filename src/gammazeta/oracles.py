@@ -65,7 +65,16 @@ def gamma_ref(s) -> complex:
         power = t ** (z + 0.5)
     except ZeroDivisionError as exc:  # its phase overflowed: Im(s) beyond float range
         raise DomainError(f"Gamma oracle out of float range at s = {s!r}") from exc
-    value = math.sqrt(2 * math.pi) * power * cmath.exp(-t) * acc
+    except OverflowError:
+        # t**(z+0.5) leaves the float range from Re s ~ 143 on, Gamma only
+        # beyond ~171.6: take the power in halves around exp(-t)
+        half = t ** ((z + 0.5) / 2)
+        scaled = half * cmath.exp(-t) * half
+        if not cmath.isfinite(scaled):
+            raise
+        value = math.sqrt(2 * math.pi) * scaled * acc
+    else:
+        value = math.sqrt(2 * math.pi) * power * cmath.exp(-t) * acc
     if not cmath.isfinite(value):  # |s| far beyond the range of Gamma's floats
         raise DomainError(f"Gamma oracle out of float range at s = {s!r}")
     return value

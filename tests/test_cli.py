@@ -574,6 +574,14 @@ def test_s_with_a_denominator_beyond_the_float_range_evaluates():
     assert math.isfinite(payload["partial_sum"]["re"]) and payload["rel_error"] < 1e-12
 
 
+def test_gamma_reference_near_the_top_of_the_float_range():
+    # Gamma(151) = 5.7e262 is a float, though the Lanczos power alone is not
+    code, out = run_cli(["eval", "gamma", "--s", "150", "--terms", "3"])
+    assert code == cli.EXIT_OK
+    reference = json.loads(out)["payload"]["reference"]
+    assert reference["re"] == pytest.approx(math.gamma(151), rel=2e-15)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

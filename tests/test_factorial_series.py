@@ -132,17 +132,16 @@ def test_certified_terms_are_the_exact_terms(side_name, path, data, n_terms):
     assert _bits(module.expansion_terms(s, n_terms, path)) == _bits(expected)
 
 
-def test_low_start_precision_doubles_then_falls_back(monkeypatch):
-    # at 16 bits no term certifies; doubling certifies the early terms,
-    # whose bound is small, and the exact tier finishes the rest
-    precisions, certified, exact_rows = [], [], []
+def test_low_start_precision_certifies_nothing_then_exact(monkeypatch):
+    # at 16 bits the one fixed-point pass certifies no term, and the
+    # exact tier gives every term the same bits
+    passes, exact_rows = [], []
     fixed_terms, exact_sums = fs._fixed_terms, fs._exact_sums
 
-    def spy_fixed(side, p, q, n, path, prec, *bounds):
-        got = list(fixed_terms(side, p, q, n, path, prec, *bounds))
-        precisions.append(prec)
-        certified.append(sum(t is not None for t in got))
-        return iter(got)
+    def spy_fixed(*args):
+        got = list(fixed_terms(*args))
+        passes.append(got)
+        return got
 
     def spy_exact(d, p, q, n):
         exact_rows.append(n - 1)
@@ -154,14 +153,32 @@ def test_low_start_precision_doubles_then_falls_back(monkeypatch):
     for module, s, pref in ((ge, Fraction(3, 2), None),
                             (ze, Fraction(3, 4), 2 ** -0.25 / 0.75)):
         for path in fs.PATHS:
-            precisions.clear(), certified.clear(), exact_rows.clear()
+            passes.clear(), exact_rows.clear()
             terms = module.expansion_terms(s, 100, path)
-            assert precisions == [16, 32, 64]
-            assert certified[0] == 0 and certified[-1] > 0
-            assert sum(certified) < 99 and exact_rows, "the exact tier never ran"
+            assert passes == [[None] * 99] and exact_rows == [99]
             monkeypatch.setattr(fs, "_exact_sums", exact_sums)
             assert _bits(terms) == _bits(_exact_reference(module.SIDE, s, 100, pref))
             monkeypatch.setattr(fs, "_exact_sums", spy_exact)
+
+
+# the s values of the exact_deep benchmark workload, each at the top of
+# its stratum of the terms range (Gamma 300-450, zeta 200-320)
+_EXACT_DEEP_GRID = [
+    (ge, "0.3", 330), (ge, "0.5", 360), (ge, "0.75", 390), (ge, "1.25", 420), (ge, "1.5", 450),
+    (ze, "0.5", 224), (ze, "0.75", 248), (ze, "1.25", 272), (ze, "1.5", 296), (ze, "1.75", 320),
+]
+
+
+@pytest.mark.parametrize("module, s, n_terms", _EXACT_DEEP_GRID)
+def test_fixed_point_pass_certifies_every_deep_term(module, s, n_terms, monkeypatch):
+    # the one pass at the start precision certifies every term of the deep
+    # rows: a cut to P that leaves terms to the exact tier fails here
+    def fail(*args):
+        raise AssertionError(f"the exact tier ran at s = {s}, N = {n_terms}")
+
+    monkeypatch.setattr(fs, "_exact_sums", fail)
+    for path in fs.PATHS:
+        module.expansion_terms(Fraction(s), n_terms, path)
 
 
 def test_only_s_zero_skips_the_fixed_tier(monkeypatch):

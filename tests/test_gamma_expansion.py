@@ -106,6 +106,11 @@ class TestIntegrandCoeffs:
         for c1, c2 in zip(exact, inexact):
             assert abs(complex(c1) - c2) < 1e-13
 
+    def test_complex_power_beyond_the_float_range_raises(self):
+        # A_2(s) ~ s**2/8 is beyond the float range; it was returned as nan+nanj
+        with pytest.raises(OverflowError, match="beyond the float range"):
+            ge.integrand_coeffs(1e300 + 1e300j, 3)
+
 
 class TestExpansion:
     def test_s_zero_collapses_to_one(self):

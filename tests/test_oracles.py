@@ -66,6 +66,11 @@ class TestGammaRef:
                 gamma_ref(s)
         assert math.isfinite(gamma_ref(1e-308).real)
 
+    @pytest.mark.parametrize("s", [142, 143, 151, 171, 171.6, -150.5])
+    def test_values_near_the_top_of_the_float_range(self, s):
+        # from Re s ~ 143 on, t**(z+0.5) overflows before Gamma(s) does
+        assert gamma_ref(s).real == pytest.approx(math.gamma(s), rel=2e-15)
+
     @pytest.mark.parametrize("s", [1000 + 1000j, 1e5 + 1e5j, 1e10 + 1e10j])
     def test_a_lanczos_value_beyond_the_float_range_is_a_domain_error(self, s):
         # the power and the exponential of the Lanczos form meet as inf and 0

@@ -101,6 +101,10 @@ class TestLogRatioCoeffs:
         for c1, c2 in zip(exact, inexact):
             assert abs(complex(c1) - c2) < 1e-13
 
+    def test_complex_power_beyond_the_float_range_raises(self):
+        with pytest.raises(OverflowError, match="beyond the float range"):
+            ze.log_ratio_coeffs(1e300 + 1e300j, 3)
+
 
 class TestExpansion:
     def test_leading_term_only(self):
