@@ -212,8 +212,9 @@ def cmd_converge(args, out) -> int:
         raise UsageError(f"--max-terms {args.max_terms} exceeds the cap {MAX_TERMS}")
     s = parse_complex_flag(args.s, positive_re=args.target == "zeta")
     module = EVALUATORS[args.target]
-    sums = module.partial_sums(s, args.max_terms, args.path)
+    # the oracle first: an s that it refuses costs no terms
     reference = module.reference_value(s)
+    sums = module.partial_sums(s, args.max_terms, args.path)
     samples = []
     for terms in range(args.stride, args.max_terms + 1, args.stride):
         value = sums[terms - 1]

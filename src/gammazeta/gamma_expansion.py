@@ -90,6 +90,17 @@ def log_series_bell_value(alpha: int, beta: int) -> Fraction:
     return Fraction(factorial(alpha) * coeff(alpha, beta), factorial(alpha + beta))
 
 
+def _checked(s) -> Fraction | None:
+    # the expansion's own checks on s, asked before the oracle and the
+    # terms; s as a Fraction, or None at complex s
+    frac = fs.as_fraction(s)
+    if s.real <= -1:
+        raise DomainError("expansion requires Re(s) > -1")
+    if frac is None and abs(complex(s) + 1) < POLE_TOLERANCE:
+        raise PoleProximityError("denominator s+1 vanishes")
+    return frac
+
+
 def expansion_terms(s, n_terms: int, path: str = "direct") -> list[complex]:
     """The first ``n_terms`` terms of the expansion (index a = 0..n_terms-1).
 
@@ -100,15 +111,10 @@ def expansion_terms(s, n_terms: int, path: str = "direct") -> list[complex]:
     either path.
     """
     fs.check_request(n_terms, path)
-    frac = fs.as_fraction(s)
-    if s.real <= -1:
-        raise DomainError("expansion requires Re(s) > -1")
+    frac = _checked(s)
     if frac is not None:
         return fs.exact_terms(SIDE, frac, n_terms, path)
-    sc = complex(s)
-    if abs(sc + 1) < POLE_TOLERANCE:
-        raise PoleProximityError("denominator s+1 vanishes")
-    return fs.float_terms(SIDE, sc, n_terms)
+    return fs.float_terms(SIDE, complex(s), n_terms)
 
 
 def partial_sums(s, n_terms: int, path: str = "direct") -> list[complex]:
@@ -125,11 +131,14 @@ def integrand_coeffs(s, order: int) -> bell.TruncatedSeries:
 
 
 def reference_value(s) -> complex:
-    """Gamma(s+1), the value the expansion converges to."""
+    """Gamma(s+1), the value the expansion converges to, at an s that
+    passes the expansion's own checks."""
+    _checked(s)
     return oracles.gamma_ref(complex(s) + 1)
 
 
 def evaluate(s, n_terms: int, path: str = "direct") -> SeriesReport:
-    """Evaluate the truncated expansion and compare against the Gamma oracle."""
-    terms = expansion_terms(s, n_terms, path)
-    return fs.series_report(s, path, terms, reference_value(s))
+    """Evaluate the truncated expansion and compare against the Gamma
+    oracle, asked first: an s that it refuses costs no terms."""
+    reference = reference_value(s)
+    return fs.series_report(s, path, expansion_terms(s, n_terms, path), reference)

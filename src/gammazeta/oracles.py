@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import cache
 from typing import NamedTuple
 
 from . import derivative_polynomials as dpoly
@@ -96,17 +97,11 @@ def _borwein_weights(n: int) -> tuple[list[int], int]:
     return ds, ds[n]
 
 
-#: order n -> ([d_n - d_k for k = 0..n-1], d_n), each integer rounded once
-#: to a float; each order is built on first use and kept
-_ETA_WEIGHTS: list = [None] * (_MAX_ORDER + 1)
-
-
+@cache
 def _eta_weights(n: int) -> tuple[list[float], float]:
-    weights = _ETA_WEIGHTS[n]
-    if weights is None:
-        ds, dn = _borwein_weights(n)
-        weights = _ETA_WEIGHTS[n] = [float(dn - d) for d in ds[:n]], float(dn)
-    return weights
+    # ([d_n - d_k for k = 0..n-1], d_n), each integer rounded once to a float
+    ds, dn = _borwein_weights(n)
+    return [float(dn - d) for d in ds[:n]], float(dn)
 
 
 def eta_ref(s, acceleration_order: int | None = None) -> complex:
@@ -117,9 +112,9 @@ def eta_ref(s, acceleration_order: int | None = None) -> complex:
     order beyond 399, which the default reaches from |Im(s)| of about
     151.7 on to inf and nan, raises DomainError; one below 1, ValueError.
 
-    The weights of each order are read as floats from ``_ETA_WEIGHTS``,
-    built on the first call at that order: at most 400 orders of floats,
-    the same doubles an integer weight takes when it divides a complex.
+    ``_eta_weights`` builds the weights of each order on the first call
+    at that order and caches them: at most 400 orders of floats, the
+    same doubles an integer weight takes when it divides a complex.
     """
     s = complex(s)
     if s.real <= 0:
@@ -240,22 +235,17 @@ def quad_tanh_sinh(f, a: float, b: float, tol: float = DEFAULT_QUAD_TOL,
     return _de_quadrature(f, nodes, tol, budget)
 
 
-#: level -> the (e^u, w) pairs of the exp-sinh rule, interleaved in one
-#: array("d"); they depend on neither f nor a, so each level is built once
-_EXP_SINH_NODES: list = [None] * (_MAX_LEVEL + 1)
-
-
+@cache
 def _exp_sinh_nodes(level: int):
-    # |u| < 390 at |t| <= _T_MAX: no e^u overflows or reaches 0, no w is 0
-    pairs = _EXP_SINH_NODES[level]
-    if pairs is None:
-        from array import array  # imported here: only quadrature needs it
-        pairs = array("d")
-        for t in _steps(level):
-            for sgn in ((1.0,) if t == 0.0 else (1.0, -1.0)):
-                ex = math.exp(_HALF_PI * math.sinh(sgn * t))
-                pairs.extend((ex, _HALF_PI * math.cosh(t) * ex))
-        _EXP_SINH_NODES[level] = pairs
+    # the (e^u, w) pairs of the exp-sinh rule, interleaved in one array("d"):
+    # they depend on neither f nor a. |u| < 390 at |t| <= _T_MAX, so no e^u
+    # overflows or reaches 0, and no w is 0
+    from array import array  # imported here: only quadrature needs it
+    pairs = array("d")
+    for t in _steps(level):
+        for sgn in ((1.0,) if t == 0.0 else (1.0, -1.0)):
+            ex = math.exp(_HALF_PI * math.sinh(sgn * t))
+            pairs.extend((ex, _HALF_PI * math.cosh(t) * ex))
     return pairs
 
 

@@ -2,8 +2,9 @@
 
 Each check is a function of (depth, rng) returning None on success or a
 short witness string describing the first failure. Suites group checks
-by subject; ``run_suite`` executes them and reports one line per check
-in a deterministic order.
+by subject: ``@_line(suite)`` adds each check to ``SUITES`` where it is
+defined, so a suite runs its checks in the order of this file.
+``run_suite`` executes them and reports one line per check.
 
 Exact claims are checked in exact arithmetic; tolerances appear only
 where complex floating point is intrinsic.
@@ -37,6 +38,19 @@ class CheckResult(NamedTuple):
     witness: str | None
 
 
+#: suite -> its (name, check) lines in run order, filled by ``_line``
+SUITES: dict[str, list[tuple[str, Callable]]] = {suite: [] for suite in VERIFY_SUITES}
+
+
+def _line(suite: str, name: str | None = None) -> Callable:
+    """Append the decorated check to ``suite`` under ``name``, by default
+    its function name without ``check_``."""
+    def register(check: Callable) -> Callable:
+        SUITES[suite].append((name or check.__name__.removeprefix("check_"), check))
+        return check
+    return register
+
+
 def _bell_sequence(length: int, stride: int) -> list[Fraction]:
     # x_m = m!/(m+1) where stride divides m, else 0: the sequence behind
     # the Gamma-side triangle (stride 1) or the zeta side's (stride 2)
@@ -44,7 +58,8 @@ def _bell_sequence(length: int, stride: int) -> list[Fraction]:
             for m in range(1, length + 1)]
 
 
-# Per-side checks take the side's functions first; ``partial`` binds them.
+# Per-side checks take the side's functions first; ``partial`` binds them,
+# and ``_line`` names each bound check, which has no ``__name__``.
 
 def _bell_identity(bell_value: Callable, stride: int, depth: int, rng) -> str | None:
     # bell_value(a, b) is B_{a,b} of the side's Bell sequence
@@ -103,6 +118,7 @@ def _integrand_power_identity(
 
 # ---------------------------------------------------------------- stirling
 
+@_line("stirling")
 def check_stirling1_row_sums(depth: int, rng) -> str | None:
     for n in range(depth + 1):
         total = sum(comb.stirling1(n, k) for k in range(n + 1))
@@ -111,6 +127,7 @@ def check_stirling1_row_sums(depth: int, rng) -> str | None:
     return None
 
 
+@_line("stirling")
 def check_eulerian_row_sums_and_symmetry(depth: int, rng) -> str | None:
     for n in range(1, depth + 1):
         row = [comb.eulerian(n, k) for k in range(n)]
@@ -121,6 +138,7 @@ def check_eulerian_row_sums_and_symmetry(depth: int, rng) -> str | None:
     return None
 
 
+@_line("stirling")
 def check_stirling1_telescoped(depth: int, rng) -> str | None:
     # s1(n,k) = sum_{j=1..k} (n-j) s1(n-j, k+1-j) for n >= k+2
     for n in range(2, depth + 1):
@@ -133,6 +151,7 @@ def check_stirling1_telescoped(depth: int, rng) -> str | None:
     return None
 
 
+@_line("stirling")
 def check_stirling1_generating_function(depth: int, rng) -> str | None:
     # coefficient of t^n in (1-t)^(-u) equals sum_k s1(n,k) u^k / n!
     order = 12
@@ -149,6 +168,7 @@ def check_stirling1_generating_function(depth: int, rng) -> str | None:
     return None
 
 
+@_line("stirling")
 def check_rising_equals_shifted_falling(depth: int, rng) -> str | None:
     # both sides are polynomials of degree k <= 10 in s, so equality at
     # eleven distinct rationals is equality everywhere
@@ -163,6 +183,7 @@ def check_rising_equals_shifted_falling(depth: int, rng) -> str | None:
 
 # -------------------------------------------------------------------- bell
 
+@_line("bell")
 def check_partial_bell_boundaries(depth: int, rng) -> str | None:
     xs = _bell_sequence(14, 1)
     for n in range(1, 13):
@@ -173,6 +194,7 @@ def check_partial_bell_boundaries(depth: int, rng) -> str | None:
     return None
 
 
+@_line("bell")
 def check_partial_bell_vs_enumeration(depth: int, rng) -> str | None:
     xs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(8)]
     for n in range(1, 8):
@@ -182,6 +204,7 @@ def check_partial_bell_vs_enumeration(depth: int, rng) -> str | None:
     return None
 
 
+@_line("bell")
 def check_series_pow_integer_powers(depth: int, rng) -> str | None:
     coeffs = [Fraction(1)] + [
         Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(8)
@@ -196,6 +219,7 @@ def check_series_pow_integer_powers(depth: int, rng) -> str | None:
     return None
 
 
+@_line("bell")
 def check_series_pow_roundtrip(depth: int, rng) -> str | None:
     coeffs = [Fraction(1)] + [
         Fraction(rng.randint(-3, 3), rng.randint(2, 7)) for _ in range(8)
@@ -208,6 +232,7 @@ def check_series_pow_roundtrip(depth: int, rng) -> str | None:
     return None
 
 
+@_line("bell")
 def check_potential_poly_squared_series(depth: int, rng) -> str | None:
     # r=2: potential polynomial equals the EGF coefficient of the squared series
     coeffs = [Fraction(1)] + [
@@ -226,6 +251,7 @@ def check_potential_poly_squared_series(depth: int, rng) -> str | None:
 
 # ----------------------------------------------------------------------- c
 
+@_line("c")
 def check_c_direct_equals_recurrence(depth: int, rng) -> str | None:
     for a in range(depth + 1):
         for b in range(a + 2):
@@ -234,6 +260,7 @@ def check_c_direct_equals_recurrence(depth: int, rng) -> str | None:
     return None
 
 
+@_line("c")
 def check_c_diagonal_double_factorial(depth: int, rng) -> str | None:
     for a in range(min(depth, 12) + 1):
         if gamma_expansion.coeff(a, a) != comb.double_factorial_odd(a):
@@ -241,6 +268,7 @@ def check_c_diagonal_double_factorial(depth: int, rng) -> str | None:
     return None
 
 
+@_line("c")
 def check_c_first_column_factorial(depth: int, rng) -> str | None:
     for a in range(1, min(depth, 12) + 1):
         if gamma_expansion.coeff(a, 1) != factorial(a):
@@ -248,16 +276,17 @@ def check_c_first_column_factorial(depth: int, rng) -> str | None:
     return None
 
 
-check_c_bell_identity = partial(_bell_identity, gamma_expansion.log_series_bell_value, 1)
-check_gamma_path_equivalence = partial(
-    _path_equivalence, gamma_expansion, (0.5, 1 + 1j, 2.3), 50
-)
-check_gamma_integrand_power_identity = partial(
+check_c_bell_identity = _line("c", "c_bell_identity")(
+    partial(_bell_identity, gamma_expansion.log_series_bell_value, 1))
+check_gamma_path_equivalence = _line("c", "gamma_path_equivalence")(
+    partial(_path_equivalence, gamma_expansion, (0.5, 1 + 1j, 2.3), 50))
+check_gamma_integrand_power_identity = _line("c", "gamma_integrand_power_identity")(partial(
     _integrand_power_identity, gamma_expansion.integrand_coeffs, 1, (3, Fraction(1, 2)), 10,
     "shifted-log",
-)
+))
 
 
+@_line("c")
 def check_gamma_known_values(depth: int, rng) -> str | None:
     if abs(sum(gamma_expansion.expansion_terms(0.0, 8)) - 1.0) != 0.0:
         return "s=0 should collapse to exactly 1"
@@ -270,6 +299,7 @@ def check_gamma_known_values(depth: int, rng) -> str | None:
 
 # ----------------------------------------------------------------------- ml
 
+@_line("ml")
 def check_ml_table_equals_telescoped(depth: int, rng) -> str | None:
     for n in range(2, depth + 1):
         for k in range(1, n + 1):
@@ -278,6 +308,7 @@ def check_ml_table_equals_telescoped(depth: int, rng) -> str | None:
     return None
 
 
+@_line("ml")
 def check_ml_parity_and_boundaries(depth: int, rng) -> str | None:
     # a[n,k] = 0 iff n-k odd (k >= 1); column 0 vanishes for n >= 1
     for n in range(depth + 1):
@@ -292,6 +323,7 @@ def check_ml_parity_and_boundaries(depth: int, rng) -> str | None:
     return None
 
 
+@_line("ml")
 def check_ml_diagonal_and_divisibility(depth: int, rng) -> str | None:
     for n in range(depth + 1):
         if mittag_leffler.coeff(n, n) != 2**n:
@@ -302,6 +334,7 @@ def check_ml_diagonal_and_divisibility(depth: int, rng) -> str | None:
     return None
 
 
+@_line("ml")
 def check_ml_generating_function(depth: int, rng) -> str | None:
     for n in range(min(depth, 10) + 1):
         lhs = mittag_leffler.ml_poly_from_generating_function(n)
@@ -310,6 +343,7 @@ def check_ml_generating_function(depth: int, rng) -> str | None:
     return None
 
 
+@_line("ml")
 def check_ml_bateman_recurrence(depth: int, rng) -> str | None:
     # n g_n = (n-2) g_{n-2} + 2x g_{n-1}, g_n = M_n/n!, exact in Fractions
     two_x = Polynomial((0, 2))
@@ -324,6 +358,7 @@ def check_ml_bateman_recurrence(depth: int, rng) -> str | None:
 
 # ----------------------------------------------------------------------- b
 
+@_line("b")
 def check_b_direct_equals_recurrence(depth: int, rng) -> str | None:
     for a in range(min(depth, 20) + 1):
         for b in range(a // 2 + 2):
@@ -332,6 +367,7 @@ def check_b_direct_equals_recurrence(depth: int, rng) -> str | None:
     return None
 
 
+@_line("b")
 def check_b_first_column(depth: int, rng) -> str | None:
     for n in range(1, min(depth, 8) + 1):
         if zeta_expansion.coeff(2 * n, 1) != factorial(2 * n):
@@ -339,16 +375,17 @@ def check_b_first_column(depth: int, rng) -> str | None:
     return None
 
 
-check_b_bell_identity = partial(_bell_identity, zeta_expansion.log_ratio_bell_value, 2)
-check_zeta_path_equivalence = partial(
-    _path_equivalence, zeta_expansion, (0.5, 1.0, 2 + 1j), 40
-)
-check_zeta_integrand_power_identity = partial(
+check_b_bell_identity = _line("b", "b_bell_identity")(
+    partial(_bell_identity, zeta_expansion.log_ratio_bell_value, 2))
+check_zeta_path_equivalence = _line("b", "zeta_path_equivalence")(
+    partial(_path_equivalence, zeta_expansion, (0.5, 1.0, 2 + 1j), 40))
+check_zeta_integrand_power_identity = _line("b", "zeta_integrand_power_identity")(partial(
     _integrand_power_identity, zeta_expansion.log_ratio_coeffs, 2, (2, Fraction(3, 4)), 5,
     "even log",
-)
+))
 
 
+@_line("b")
 def check_zeta_target_convergence(depth: int, rng) -> str | None:
     for s in (0.75, 2.0):
         rep40 = zeta_expansion.evaluate(s, 40)
@@ -363,6 +400,7 @@ def check_zeta_target_convergence(depth: int, rng) -> str | None:
 
 # --------------------------------------------------------------------- poly
 
+@_line("poly")
 def check_q_closed_forms(depth: int, rng) -> str | None:
     # reduced_polynomial checks x(x-1) P_{n-2} against the Stirling form
     # of Q_n (a DefectError); this pins the product derivative_polynomial returns
@@ -379,6 +417,7 @@ _RICCATI_CASES = (
 )
 
 
+@_line("poly")
 def check_riccati_chain(depth: int, rng) -> str | None:
     # x' is the equation's right side, and x^(n+1) is x^(n) differentiated
     # times x', so the chain pins every riccati_derivative(n, ...)
@@ -396,6 +435,7 @@ def check_riccati_chain(depth: int, rng) -> str | None:
     return None
 
 
+@_line("poly")
 def check_root_counts(depth: int, rng) -> str | None:
     # P_n changes sign (or vanishes) across each of n disjoint brackets
     # inside (0,1), so it has n distinct roots there: all the roots of a
@@ -415,6 +455,7 @@ def check_root_counts(depth: int, rng) -> str | None:
     return None
 
 
+@_line("poly")
 def check_interlacing(depth: int, rng) -> str | None:
     for n in range(min(depth, 12) + 1):
         if not dpoly.interlacing_check(n):
@@ -424,6 +465,7 @@ def check_interlacing(depth: int, rng) -> str | None:
 
 # ------------------------------------------------------------------- oracle
 
+@_line("oracle")
 def check_gamma_functional_equation(depth: int, rng) -> str | None:
     for _ in range(20):
         s = complex(rng.uniform(0.5, 5.0), rng.uniform(-10.0, 10.0))
@@ -434,6 +476,7 @@ def check_gamma_functional_equation(depth: int, rng) -> str | None:
     return None
 
 
+@_line("oracle")
 def check_gamma_reflection(depth: int, rng) -> str | None:
     # Gamma(s+1) evaluates directly while Gamma(s) reflects, so the
     # functional equation across Re(s) = 0.5 ties both branches together
@@ -455,6 +498,7 @@ def _bernoulli(n: int) -> Fraction:
                for k in range(n + 1))
 
 
+@_line("oracle")
 def check_eta_zeta_relation(depth: int, rng) -> str | None:
     # zeta(2k) = |B_2k| (2 pi)^(2k) / (2 (2k)!), Euler's closed form, ties
     # zeta_ref = eta_ref / (1 - 2^(1-s)) to the exact Bernoulli numbers
@@ -466,6 +510,7 @@ def check_eta_zeta_relation(depth: int, rng) -> str | None:
     return None
 
 
+@_line("oracle")
 def check_eta_acceleration_orders(depth: int, rng) -> str | None:
     for s in (0.5, 0.75, 2 + 1j):
         one = oracles.eta_ref(s, acceleration_order=40)
@@ -475,6 +520,7 @@ def check_eta_acceleration_orders(depth: int, rng) -> str | None:
     return None
 
 
+@_line("oracle")
 def check_gamma_integral_quadrature(depth: int, rng) -> str | None:
     for s in (0.5, 1.0, 2.25):
         quad = oracles.gamma_integral_ref(s)
@@ -484,6 +530,7 @@ def check_gamma_integral_quadrature(depth: int, rng) -> str | None:
     return None
 
 
+@_line("oracle")
 def check_elementary_quadratures(depth: int, rng) -> str | None:
     third = oracles.quad_tanh_sinh(lambda t: t**2, 0.0, 1.0)
     if abs(third.value - Fraction(1, 3)) > 1e-11:
@@ -497,6 +544,7 @@ def check_elementary_quadratures(depth: int, rng) -> str | None:
 
 # ----------------------------------------------------------------- integral
 
+@_line("integral")
 def check_integral_identity(depth: int, rng) -> str | None:
     for n in range(min(depth, 12) + 1):
         for s in (0.75, 1.5):
@@ -509,6 +557,7 @@ def check_integral_identity(depth: int, rng) -> str | None:
     return None
 
 
+@_line("integral")
 def check_eta_integral_quadrature(depth: int, rng) -> str | None:
     for s in (0.5, 1.0, 2.0):
         quad = oracles.eta_integral_ref(s)
@@ -516,67 +565,6 @@ def check_eta_integral_quadrature(depth: int, rng) -> str | None:
         if abs(quad.value - target) > 1e-10 * max(1.0, abs(target)):
             return f"defining integral misses eta(s)Gamma(s) at s={s}"
     return None
-
-
-# one list of (name, check) per name of VERIFY_SUITES, in that order
-SUITES: dict[str, list[tuple[str, Callable]]] = dict(zip(VERIFY_SUITES, (
-    [  # stirling
-        ("stirling1_row_sums", check_stirling1_row_sums),
-        ("eulerian_row_sums_and_symmetry", check_eulerian_row_sums_and_symmetry),
-        ("stirling1_telescoped", check_stirling1_telescoped),
-        ("stirling1_generating_function", check_stirling1_generating_function),
-        ("rising_equals_shifted_falling", check_rising_equals_shifted_falling),
-    ],
-    [  # bell
-        ("partial_bell_boundaries", check_partial_bell_boundaries),
-        ("partial_bell_vs_enumeration", check_partial_bell_vs_enumeration),
-        ("series_pow_integer_powers", check_series_pow_integer_powers),
-        ("series_pow_roundtrip", check_series_pow_roundtrip),
-        ("potential_poly_squared_series", check_potential_poly_squared_series),
-    ],
-    [  # c
-        ("c_direct_equals_recurrence", check_c_direct_equals_recurrence),
-        ("c_diagonal_double_factorial", check_c_diagonal_double_factorial),
-        ("c_first_column_factorial", check_c_first_column_factorial),
-        ("c_bell_identity", check_c_bell_identity),
-        ("gamma_path_equivalence", check_gamma_path_equivalence),
-        ("gamma_integrand_power_identity", check_gamma_integrand_power_identity),
-        ("gamma_known_values", check_gamma_known_values),
-    ],
-    [  # ml
-        ("ml_table_equals_telescoped", check_ml_table_equals_telescoped),
-        ("ml_parity_and_boundaries", check_ml_parity_and_boundaries),
-        ("ml_diagonal_and_divisibility", check_ml_diagonal_and_divisibility),
-        ("ml_generating_function", check_ml_generating_function),
-        ("ml_bateman_recurrence", check_ml_bateman_recurrence),
-    ],
-    [  # b
-        ("b_direct_equals_recurrence", check_b_direct_equals_recurrence),
-        ("b_first_column", check_b_first_column),
-        ("b_bell_identity", check_b_bell_identity),
-        ("zeta_path_equivalence", check_zeta_path_equivalence),
-        ("zeta_integrand_power_identity", check_zeta_integrand_power_identity),
-        ("zeta_target_convergence", check_zeta_target_convergence),
-    ],
-    [  # poly
-        ("q_closed_forms", check_q_closed_forms),
-        ("riccati_chain", check_riccati_chain),
-        ("root_counts", check_root_counts),
-        ("interlacing", check_interlacing),
-    ],
-    [  # oracle
-        ("gamma_functional_equation", check_gamma_functional_equation),
-        ("gamma_reflection", check_gamma_reflection),
-        ("eta_zeta_relation", check_eta_zeta_relation),
-        ("eta_acceleration_orders", check_eta_acceleration_orders),
-        ("gamma_integral_quadrature", check_gamma_integral_quadrature),
-        ("elementary_quadratures", check_elementary_quadratures),
-    ],
-    [  # integral
-        ("integral_identity", check_integral_identity),
-        ("eta_integral_quadrature", check_eta_integral_quadrature),
-    ],
-), strict=True))
 
 
 def run_suite(suite: str, depth: int, seed: int = DEFAULT_SEED) -> list[CheckResult]:

@@ -108,13 +108,10 @@ def log_ratio_bell_value(alpha: int, beta: int) -> Fraction:
     return Fraction(factorial(alpha) * coeff(alpha, beta), factorial(alpha + beta))
 
 
-def expansion_terms(s, n_terms: int, path: str = "direct") -> list[complex]:
-    """First ``n_terms`` terms (m = 0..n_terms-1) of the expansion of
-    eta(s)Gamma(s); term 0 is 2**(s-1)/s * 1/(s+1).
-
-    Requires Re(s) > 0 (the validity region of the underlying integral).
-    """
-    fs.check_request(n_terms, path)
+def _checked(s):
+    # the expansion's own checks on s, asked before the oracle and the
+    # terms; s as a Fraction (None at complex s), s as a float or complex,
+    # and the prefactor 2**(s-1)/s
     frac = fs.as_fraction(s)
     if s.real <= 0:  # on the exact value: complex(1e-400) is 0
         raise DomainError("expansion requires Re(s) > 0")
@@ -122,6 +119,17 @@ def expansion_terms(s, n_terms: int, path: str = "direct") -> list[complex]:
     pref = 2 ** (sf - 1) / sf if sf else inf
     if not (isfinite(pref.real) and isfinite(pref.imag)):  # |s| below about 1e-308
         raise OverflowError("the prefactor 2**(s-1)/s is beyond the float range")
+    return frac, sf, pref
+
+
+def expansion_terms(s, n_terms: int, path: str = "direct") -> list[complex]:
+    """First ``n_terms`` terms (m = 0..n_terms-1) of the expansion of
+    eta(s)Gamma(s); term 0 is 2**(s-1)/s * 1/(s+1).
+
+    Requires Re(s) > 0 (the validity region of the underlying integral).
+    """
+    fs.check_request(n_terms, path)
+    frac, sf, pref = _checked(s)
     if frac is None:
         return fs.float_terms(SIDE, sf, n_terms, pref)
     return fs.exact_terms(SIDE, frac, n_terms, path, pref)
@@ -142,11 +150,14 @@ def log_ratio_coeffs(r, order: int) -> bell.TruncatedSeries:
 
 
 def reference_value(s) -> complex:
-    """eta(s)Gamma(s), the value the expansion converges to."""
+    """eta(s)Gamma(s), the value the expansion converges to, at an s that
+    passes the expansion's own checks."""
+    _checked(s)
     return oracles.eta_ref(complex(s)) * oracles.gamma_ref(complex(s))
 
 
 def evaluate(s, n_terms: int, path: str = "direct") -> SeriesReport:
-    """Evaluate the truncated expansion and compare against eta(s)Gamma(s)."""
-    terms = expansion_terms(s, n_terms, path)
-    return fs.series_report(s, path, terms, reference_value(s))
+    """Evaluate the truncated expansion and compare against eta(s)Gamma(s),
+    asked first: an s that the oracles refuse costs no terms."""
+    reference = reference_value(s)
+    return fs.series_report(s, path, expansion_terms(s, n_terms, path), reference)

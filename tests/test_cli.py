@@ -238,6 +238,16 @@ class TestVerify:
         assert code == cli.EXIT_VERIFY_FAILED
         assert "FAIL stirling:always_fails: synthetic failure" in out
 
+    def test_each_check_is_one_line_of_its_suite(self):
+        # each check joins its suite where it is defined: none is left out
+        # or listed twice, and each line is named after its function
+        assert tuple(verify_mod.SUITES) == VERIFY_SUITES
+        lines = [line for checks in verify_mod.SUITES.values() for line in checks]
+        checks = {name: fn for name, fn in vars(verify_mod).items()
+                  if name.startswith("check_") and callable(fn)}
+        assert sorted(f"check_{name}" for name, _ in lines) == sorted(checks)
+        assert all(checks[f"check_{name}"] is fn for name, fn in lines)
+
     def test_path_equivalence_is_bit_for_bit_at_real_points(self):
         # one ulp between the paths fails a real point; at a complex point
         # a term one ulp off the series power passes
@@ -491,6 +501,30 @@ def test_float_overflow_is_a_domain_error(argv, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("path", ["direct", "recurrence"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "gamma", "--s", "1e999", "--terms", "1000"],
+        ["converge", "gamma", "--s", "1e999", "--max-terms", "1000"],
+        ["eval", "zeta", "--s", "1000.5", "--terms", "800"],
+        ["converge", "zeta", "--s", "1000.5", "--max-terms", "800", "--stride", "100"],
+        ["eval", "gamma", "--s", "180", "--terms", "1000"],
+    ],
+)
+def test_an_s_the_oracle_refuses_costs_no_terms(argv, path, monkeypatch, capsys):
+    # eval and converge ask the oracle before the terms, which alone take seconds at these s
+    from gammazeta import factorial_series as fs
+
+    def no_terms(*args):
+        raise AssertionError("terms computed at an s that the oracle refuses")
+
+    monkeypatch.setattr(fs, "exact_terms", no_terms)
+    monkeypatch.setattr(fs, "float_terms", no_terms)
+    assert run_cli(argv + ["--path", path]) == (cli.EXIT_DOMAIN, "")
+    assert capsys.readouterr().err.startswith("numeric-domain error: float overflow")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -626,8 +660,10 @@ def test_eta_oracle_order_cap_is_a_domain_error(argv, capsys):
         (["eval", "gamma", "--s", "999,1000", "--terms", "3"], "Gamma oracle out of float range"),
         (["converge", "gamma", "--s", "1e10,1e10", "--max-terms", "4", "--stride", "2",
           "--format", "csv"], "Gamma oracle out of float range"),
-        (["eval", "zeta", "--s", "0.5,1e308", "--terms", "3"], "beyond the float range"),
-        (["eval", "gamma", "--s", "1e300,1e300", "--terms", "3"], "beyond the float range"),
+        # the oracle is asked before the terms, whose series power would overflow too
+        (["eval", "zeta", "--s", "0.5,1e308", "--terms", "3"], "eta oracle needs"),
+        (["eval", "gamma", "--s", "1e300,1e300", "--terms", "3"],
+         "Gamma oracle out of float range"),
     ],
 )
 def test_a_value_beyond_the_float_range_is_a_domain_error(argv, message, capsys):
