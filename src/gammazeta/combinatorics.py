@@ -1,9 +1,10 @@
 """Classical combinatorial numbers backing every coefficient triangle.
 
 All integer quantities are exact (Python ints are arbitrary precision).
-Triangles are built row by row through their defining recurrences and
-cached; reading an entry outside the stored range extends the cache,
-reading outside the mathematical support returns 0.
+Every integer triangle of the package is built row by row by one
+two-term recurrence (:func:`_two_term_row`) and cached; reading an
+entry outside the stored range extends the cache, reading outside the
+mathematical support returns 0.
 """
 
 from __future__ import annotations
@@ -70,15 +71,17 @@ class CachedTriangle(CachedSequence):
         return [list(r) for r in self._rows[: max_row + 1]]
 
 
-def _two_term_row(upper: Callable[[int, int], int], lower: Callable[[int, int], int]):
-    """``build_row`` for T(n,k) = upper(n,k) T(n-1,k) + lower(n,k) T(n-1,k-1),
-    T(0,0) = 1; row n holds k = 0..n, and T(n-1,k) is 0 outside its row."""
+def _two_term_row(upper: Callable[[int, int], int], lower: Callable[[int, int], int],
+                  back: int = 1):
+    """``build_row`` for T(n,k) = upper(n,k) T(n-back,k) + lower(n,k) T(n-1,k-1),
+    T(0,0) = 1; row n holds k = 0..n, and T is 0 outside its rows."""
 
     def build_row(rows: list[list[int]], n: int) -> list[int]:
         if n == 0:
             return [1]
-        prev = [0] + rows[n - 1] + [0]  # prev[k+1] = T(n-1,k)
-        return [upper(n, k) * prev[k + 1] + lower(n, k) * prev[k] for k in range(n + 1)]
+        far = rows[n - back] + [0] * back if n >= back else [0] * (n + 1)  # T(n-back,k)
+        near = [0] + rows[n - 1]  # near[k] = T(n-1,k-1)
+        return [upper(n, k) * far[k] + lower(n, k) * near[k] for k in range(n + 1)]
 
     return build_row
 

@@ -11,9 +11,9 @@ with a kernel triangle T obeying
 
 The sides differ only in the row stride d: d = 1 with T = c on the
 Gamma side, d = 2 with the even rows of b on the zeta side (the odd
-rows vanish). A :class:`Side` carries d, the kernel rows that only the
-tables read (row a holds T[d*a, b] for b = 0..a), and the float weights
-K of the series power that every complex s runs.
+rows vanish). The modules of the sides build T for their tables; no
+evaluation reads it. A :class:`Side` carries d and the float weights K
+of the series power that every complex s runs.
 
 At rational s the "direct" path combines the kernel with falling
 factorials, as A_a(s) = sum_b w[r,b] (s)_b/b! with the s-independent
@@ -62,8 +62,8 @@ rounded, from the first of two tiers that can vouch for it:
    column s.
 2. Exact integers (:func:`_exact_sums`) for every term the pass leaves
    open: each term over a common denominator, summed by Horner's rule
-   and rounded once. s = 0 starts here: every A_a(s) has the factor s,
-   and no interval can certify 0.
+   and rounded once. s = 0 needs neither tier: every A_a(s) has the
+   factor s, so each inner term is exactly 0.0.
 
 Both give the same bits, since each returns the correctly rounded value
 of the same rational. For non-real s both paths run the series power in
@@ -83,7 +83,7 @@ from numbers import Rational
 from operator import mul, truediv
 from typing import NamedTuple
 
-from .combinatorics import CachedSequence, CachedTriangle
+from .combinatorics import CachedSequence
 from .report import SeriesReport
 
 PATHS = ("direct", "recurrence")
@@ -94,29 +94,12 @@ GUARD_BITS = 64
 
 
 class Side(NamedTuple):
-    """One expansion: row stride ``stride``, kernel ``triangle``, whose
-    row a holds T[stride*a, b] for b = 0..a (read by the tables alone),
-    and the float coefficients ``log_derivative`` K_k = [t**(k-1)] L'/L
-    of the series power's base (entry k holds K_k; K_0 = 0)."""
+    """One expansion: row stride ``stride`` and the float coefficients
+    ``log_derivative`` K_k = [t**(k-1)] L'/L of the series power's base
+    (entry k holds K_k; K_0 = 0)."""
 
     stride: int
-    triangle: CachedTriangle
     log_derivative: CachedSequence
-
-
-def _next_row(prev: list[int], left: list[int], a: int, d: int) -> list[int]:
-    # row[b] = (r+b-1)...(r+b-d) (prev[b] + left[b-1]), r = d*a. With
-    # left = prev this is the kernel triangle; with left[j] = (p-jq) prev[j]
-    # it is the integer form M[a,b] = q**b (r+b)! g[r,b] of the summand
-    # recurrence (M[0,0] = 1).
-    r = d * a
-    row = [0] * (a + 1)
-    factor = prod(range(r - d + 1, r + 1))  # (r+b-1)...(r+b-d) at b = 1
-    for b in range(1, a + 1):
-        upper = prev[b] if b < len(prev) else 0
-        row[b] = factor * (upper + left[b - 1])
-        factor = factor * (r + b) // (r + b - d)
-    return row
 
 
 def _log_weight(ks: list[float], n: int, d: int) -> float:
@@ -127,16 +110,12 @@ def _log_weight(ks: list[float], n: int, d: int) -> float:
 
 
 def kernel_side(stride: int) -> Side:
-    """A side whose exact kernel rows and K are built, and cached, entry
-    by entry, each by its own recurrence."""
-
-    def kernel_row(rows, a):  # rows[-1] is row a-1
-        return _next_row(rows[-1], rows[-1], a, stride) if a else [1]
+    """A side whose K is built, and cached, entry by entry."""
 
     def log_weight(ks, n):
         return _log_weight(ks, n, stride)
 
-    return Side(stride, CachedTriangle(kernel_row), CachedSequence(log_weight))
+    return Side(stride, CachedSequence(log_weight))
 
 
 def as_fraction(s) -> Fraction | None:
@@ -173,11 +152,16 @@ def _numerator(row: list[int], r: int, q: int) -> int:
 
 def _exact_sums(d: int, p: int, q: int, n: int):
     """(numerator, denominator) of A_a(p/q) for a = 1..n-1, over the
-    common denominator q**a (r+a)!, from M[a,b] = q**b (s)_b T[r,b]."""
+    common denominator q**a (r+a)!, from the integer rows M[a,b] =
+    q**b (s)_b T[r,b] = (r+b-1)...(r+b-d) (M[a-1,b] + (p-(b-1)q) M[a-1,b-1])."""
     row = [1]
     for a in range(1, n):
-        r = d * a
-        row = _next_row(row, [(p - j * q) * m for j, m in enumerate(row)], a, d)
+        r, prev = d * a, row + [0]
+        row = [0] * (a + 1)
+        factor = prod(range(r - d + 1, r + 1))  # (r+b-1)...(r+b-d) at b = 1
+        for b in range(1, a + 1):
+            row[b] = factor * (prev[b] + (p - (b - 1) * q) * prev[b - 1])
+            factor = factor * (r + b) // (r + b - d)
         yield _numerator(row, r, q), q**a * factorial(r + a)
 
 
@@ -307,8 +291,8 @@ def exact_terms(
     docstring); ``pref`` (a float, or None for no prefactor) scales each
     rounded term."""
     p, q = s.numerator, s.denominator
-    inner = [None] * n_terms  # inner[a] = A_a/(s+r+1), rounded, for a >= 1
-    if p != 0:  # A_a(0) = 0, which no interval certifies
+    inner = [0.0] * n_terms  # inner[a] = A_a/(s+r+1), rounded, for a >= 1
+    if p != 0:  # A_a(0) = 0: neither tier runs
         # the direct path runs the weight rows: the summand rows at s = -1
         rows_s = (-1, 1) if path == "direct" else (p, q)
         bounds = _row_bounds(side.stride, *rows_s, n_terms)

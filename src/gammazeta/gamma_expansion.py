@@ -16,9 +16,9 @@ numbers of the first kind (the definition), and the two-term recurrence
 
     c[a,b] = (a+b-1) * (c[a-1,b] + c[a-1,b-1]),    c[0,0] = 1,
 
-whose equivalence is one of the verified identities. The evaluator also
-offers a "recurrence" path that never touches the triangle: at rational
-s it propagates the summands g[a,b] = (s)_b c[a,b]/(a+b)! directly via
+which builds ``TRIANGLE`` for the tables and the Bell values; their
+equivalence is one of the verified identities. At rational s the
+"recurrence" path propagates the summands g[a,b] = (s)_b c[a,b]/(a+b)! via
 
     g[a,b] = (a+b-1)/(a+b) g[a-1,b] + (s-b+1)/(a+b) g[a-1,b-1].
 
@@ -37,21 +37,22 @@ from fractions import Fraction
 from math import factorial
 
 from . import bell, factorial_series as fs, oracles
-from .combinatorics import binomial, stirling1
+from .combinatorics import CachedTriangle, _two_term_row, binomial, stirling1
 from .report import DomainError, PoleProximityError, SeriesReport
 
 POLE_TOLERANCE = 1e-12
 
-#: the Gamma side of the factorial-series engine (row stride 1); row a
-#: of its triangle holds c[a, b] for b = 0..a
+#: the Gamma side of the factorial-series engine (row stride 1)
 SIDE = fs.kernel_side(1)
+#: row a holds c[a, b] for b = 0..a
+TRIANGLE = CachedTriangle(_two_term_row(lambda a, b: a + b - 1, lambda a, b: a + b - 1))
 
 
 def coeff(alpha: int, beta: int) -> int:
     """Triangle entry c[alpha, beta] (recurrence route)."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    return SIDE.triangle.entry(alpha, beta)
+    return TRIANGLE.entry(alpha, beta)
 
 
 def coeff_direct(alpha: int, beta: int) -> int:
@@ -79,7 +80,7 @@ def coeff_direct(alpha: int, beta: int) -> int:
 
 def coeff_table(max_row: int) -> list[list[int]]:
     """Rows 0..max_row of the triangle; row a has entries b = 0..a."""
-    return SIDE.triangle.rows(max_row)
+    return TRIANGLE.rows(max_row)
 
 
 def log_series_bell_value(alpha: int, beta: int) -> Fraction:
@@ -98,6 +99,8 @@ def _checked(s) -> Fraction | None:
         raise DomainError("expansion requires Re(s) > -1")
     if frac is None and abs(complex(s) + 1) < POLE_TOLERANCE:
         raise PoleProximityError("denominator s+1 vanishes")
+    if frac is not None:
+        float(frac)  # a real s beyond the float range raises OverflowError
     return frac
 
 

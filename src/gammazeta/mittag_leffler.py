@@ -22,25 +22,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .combinatorics import CachedTriangle
+from .combinatorics import CachedTriangle, _two_term_row
 from .polynomials import Polynomial
 
-
-def _ml_row(rows: list[list[int]], n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    row = [0] * (n + 1)
-    prev2 = rows[n - 2] if n >= 2 else []
-    prev1 = rows[n - 1]
-    for k in range(n + 1):
-        two_back = prev2[k] if k < len(prev2) else 0
-        diag = prev1[k - 1] if 1 <= k <= len(prev1) else 0
-        row[k] = (n - 1) * (n - 2) * two_back + 2 * diag
-    return row
-
-
-#: a[n,k] built by the two-term recurrence.
-ML_COEFFS = CachedTriangle(_ml_row)
+#: a[n,k] built by the two-term recurrence, which reaches two rows back
+ML_COEFFS = CachedTriangle(_two_term_row(lambda n, k: (n - 1) * (n - 2), lambda n, k: 2, back=2))
 
 
 def coeff(n: int, k: int) -> int:

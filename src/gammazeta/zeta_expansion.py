@@ -23,9 +23,10 @@ alternating binomial transform of the Mittag-Leffler triangle a[n,k]:
 (exact because 2**k divides a[n,k]), and satisfy the recurrence
 
     b[alpha,beta] = (alpha+beta-2)(alpha+beta-1)
-                    (b[alpha-2,beta] + b[alpha-2,beta-1]),   b[0,0] = 1.
+                    (b[alpha-2,beta] + b[alpha-2,beta-1]),   b[0,0] = 1,
 
-A second evaluation path propagates the summands
+which builds the even rows of ``TRIANGLE`` for the tables and the Bell
+values. The "recurrence" evaluation path propagates the summands
 z[m,k] = b[m,k](s)_k/(m+k)! directly via
 
     z[m,k] = (m+k-2)/(m+k) z[m-2,k] + (s-k+1)/(m+k) z[m-2,k-1]
@@ -47,12 +48,14 @@ from fractions import Fraction
 from math import factorial, inf, isfinite
 
 from . import bell, factorial_series as fs, mittag_leffler, oracles
-from .combinatorics import binomial
+from .combinatorics import CachedTriangle, _two_term_row, binomial
 from .report import DefectError, DomainError, SeriesReport
 
-#: the zeta side of the factorial-series engine (row stride 2); even
-#: rows only: row m of its triangle holds b[2m, k] for k = 0..m
+#: the zeta side of the factorial-series engine (row stride 2)
 SIDE = fs.kernel_side(2)
+#: even rows only: row m holds b[2m, k] for k = 0..m
+TRIANGLE = CachedTriangle(_two_term_row(lambda m, k: (2 * m + k - 2) * (2 * m + k - 1),
+                                        lambda m, k: (2 * m + k - 2) * (2 * m + k - 1)))
 
 
 def coeff(alpha: int, beta: int) -> int:
@@ -62,7 +65,7 @@ def coeff(alpha: int, beta: int) -> int:
     """
     if alpha % 2 == 1:
         return 0
-    return SIDE.triangle.entry(alpha // 2, beta)  # zero for negative indices
+    return TRIANGLE.entry(alpha // 2, beta)  # zero for negative indices
 
 
 def coeff_direct(alpha: int, beta: int) -> int:
@@ -95,7 +98,7 @@ def coeff_table(max_row: int) -> list[list[int]]:
     The extra trailing entry makes the vanishing of the column after the
     last nonzero one visible, matching how the triangle is tabulated.
     """
-    even = SIDE.triangle.rows(max_row // 2)  # even[m] = b[2m, 0..m]
+    even = TRIANGLE.rows(max_row // 2)  # even[m] = b[2m, 0..m]
     return [even[a // 2] + [0] if a % 2 == 0 else [0] * (a // 2 + 2)
             for a in range(max_row + 1)]
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from gammazeta import factorial_series as fs
 from gammazeta import gamma_expansion as ge
 from gammazeta import zeta_expansion as ze
+from gammazeta.combinatorics import CachedTriangle
 
 
 def _bits(terms):
@@ -182,8 +183,8 @@ def test_fixed_point_pass_certifies_every_deep_term(module, s, n_terms, monkeypa
 
 
 def test_only_s_zero_skips_the_fixed_tier(monkeypatch):
-    # A_a(0) = 0, which no interval certifies; every other integer s
-    # certifies all its terms in the first pass
+    # A_a(0) = 0, which no interval certifies and no tier computes; every
+    # other integer s certifies all its terms in the first pass
     fixed_terms, passes = fs._fixed_terms, []
 
     def spy_fixed(*args):
@@ -205,6 +206,33 @@ def test_only_s_zero_skips_the_fixed_tier(monkeypatch):
             assert len(passes) == 1
 
 
+def test_s_zero_needs_neither_tier(monkeypatch):
+    # every A_a(s) has the factor s, so at s = 0 each inner term is 0.0,
+    # the bits the exact tier would give, without a row of either tier
+    def fail(*args):
+        raise AssertionError("a tier ran at s = 0")
+
+    monkeypatch.setattr(fs, "_fixed_terms", fail)
+    monkeypatch.setattr(fs, "_exact_sums", fail)
+    for path in fs.PATHS:
+        assert _bits(ge.expansion_terms(0, 1000, path)) == _bits([1 + 0j] + [0j] * 999)
+        assert _bits(fs.exact_terms(ze.SIDE, Fraction(0), 1000, path)[1:]) == _bits([0j] * 999)
+
+
+@pytest.mark.parametrize("module", [ge, ze], ids=["gamma", "zeta"])
+def test_a_real_s_beyond_the_float_range_raises_before_any_work(monkeypatch, module):
+    # s = 10**999 raises at its conversion to a float, before the bounds of
+    # the fixed-point pass, which grow by about s per row
+    def fail(*args):
+        raise AssertionError("the bounds were computed")
+
+    monkeypatch.setattr(fs, "_row_bounds", fail)
+    monkeypatch.setattr(fs, "_term_bounds", fail)
+    for path in fs.PATHS:
+        with pytest.raises(OverflowError):
+            module.expansion_terms(Fraction(10**999), 1000, path)
+
+
 @pytest.mark.parametrize("coeffs, stride, s, order", [
     (ge.integrand_coeffs, 1, 1 + 1j, 400), (ze.log_ratio_coeffs, 2, 2 + 5j, 300)])
 def test_complex_coefficients_are_the_series_power(coeffs, stride, s, order):
@@ -221,27 +249,32 @@ def test_complex_coefficients_are_the_series_power(coeffs, stride, s, order):
         assert abs(x - y) <= 1e-12 * abs(y), a
 
 
-def test_evaluation_never_grows_the_exact_triangle():
-    # only coeff, coeff_table and the Bell values read the exact kernel
-    # triangle; the weights come from recurrences of their own
-    side = fs.kernel_side(2)
-    for path in fs.PATHS:
-        fs.exact_terms(side, Fraction(2), 60, path)
-        fs.exact_terms(side, Fraction(0), 60, path)
-    fs.float_terms(side, 1 + 1j, 60)
-    fs.coefficients(side, Fraction(3), 30)
-    fs.coefficients(side, 0.5 + 1j, 30)
-    assert side.triangle._rows == []
+def test_evaluation_never_grows_the_exact_triangle(monkeypatch):
+    # only coeff, coeff_table and the Bell values read a triangle; the
+    # evaluation's weights and summands come from recurrences of their own
+    def fail(triangle, max_row):
+        raise AssertionError("a triangle row was read or built")
+
+    monkeypatch.setattr(CachedTriangle, "ensure", fail)
+    for module, s in ((ge, Fraction(0)), (ge, Fraction(2)), (ze, Fraction(2)),
+                      (ze, Fraction(1, 3))):
+        for path in fs.PATHS:
+            module.expansion_terms(s, 60, path)
+        module.expansion_terms(s + 1j, 60)
+    for coeffs in (ge.integrand_coeffs, ze.log_ratio_coeffs):
+        coeffs(Fraction(3), 30)
+        coeffs(0.5 + 1j, 30)
 
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_complex_s_builds_no_exact_kernel_row(monkeypatch, stride):
     # K, and so complex terms and coefficients, come without a single
-    # big-integer kernel row
+    # big-integer row of either tier
     def fail(*args):
-        raise AssertionError("an exact kernel row was built")
+        raise AssertionError("an exact row was built")
 
-    monkeypatch.setattr(fs, "_next_row", fail)
+    monkeypatch.setattr(fs, "_exact_sums", fail)
+    monkeypatch.setattr(fs, "_fixed_rows", fail)
     side = fs.kernel_side(stride)
     assert len(fs.float_terms(side, 1 + 1j, 60)) == 60
     assert len(fs.coefficients(side, 0.5 + 1j, 30)) == 31
@@ -359,11 +392,11 @@ def test_weight_recurrence_gives_the_kernel_weights(stride):
     # w[r,b] = ((r+b-d) w[r-d,b] + b w[r-d,b-1])/(r+b) reproduces
     # T[r,b] b!/(r+b)! from the exact triangle: the summand recurrence at
     # s = -1, which the fixed-point direct rows run
-    side = fs.kernel_side(stride)
+    triangle = {1: ge.TRIANGLE, 2: ze.TRIANGLE}[stride]
     row = [Fraction(1)]
     for a in range(1, 31):
         r = stride * a
-        kernel = side.triangle.row(a)
+        kernel = triangle.row(a)
         prev = row + [Fraction(0)]
         row = [Fraction(0)] + [((r + b - stride) * prev[b] + b * prev[b - 1]) / (r + b)
                                for b in range(1, a + 1)]
@@ -379,13 +412,13 @@ def test_fixed_rows_stay_within_their_bound(data, stride, prec, n):
     s = data.draw(st.one_of(_rationals(-1), st.just(Fraction(-1))))
     p, q = s.numerator, s.denominator
     bounds = fs._row_bounds(stride, p, q, n)
-    exact = [1]  # M[a,b] = q**b (r+b)! g[r,b], the integer form of the rows
+    g = [Fraction(1)]  # g[r,b] by the summand recurrence, in Fractions
     for a, row in enumerate(fs._fixed_rows(stride, p, q, n, prec), 1):
-        r = stride * a
-        exact = fs._next_row(exact, [(p - j * q) * m for j, m in enumerate(exact)], a, stride)
+        r, prev = stride * a, g + [0]
+        g = [Fraction(0)] + [((r + b - stride) * prev[b] + (s - b + 1) * prev[b - 1]) / (r + b)
+                             for b in range(1, a + 1)]
         for b in range(1, a + 1):
-            g = Fraction(exact[b], q**b * factorial(r + b))
-            assert abs(row[b] - g * 2**prec) <= bounds[a]
+            assert abs(row[b] - g[b] * 2**prec) <= bounds[a]
 
 
 @settings(max_examples=60, deadline=None)
@@ -398,11 +431,10 @@ def test_horner_sums_stay_within_their_bound(data, stride, prec, n):
     p, q = s.numerator, s.denominator
     bounds = fs._row_bounds(stride, -1, 1, n)
     errs = fs._term_bounds(bounds, p, q, "direct")
-    exact = [1]  # the integer form of the kernel triangle, T[r,b]
+    triangle = {1: ge.TRIANGLE, 2: ze.TRIANGLE}[stride]  # T[r,b] in row a
     width = p + 1 if q == 1 else math.inf
     for a, row in enumerate(fs._fixed_rows(stride, -1, 1, n, prec, width), 1):
-        r = stride * a
-        exact = fs._next_row(exact, exact, a, stride)
+        r, exact = stride * a, triangle.row(a)
         beta = [Fraction((-1) ** b) * math.prod(s - j for j in range(b)) / factorial(b)
                 for b in range(a + 1)]  # (-1)**b (s)_b/b!
         value = sum(Fraction(exact[b] * factorial(b), factorial(r + b)) * (-1) ** b * beta[b]

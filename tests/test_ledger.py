@@ -132,11 +132,11 @@ LEDGER = [
     ("c_direct_equals_recurrence", "gamma_expansion.coeff_direct reads C(n, k+1)",
      _wrap(gamma_expansion, "binomial", lambda binom: lambda n, k: binom(n, k + 1))),
     ("c_diagonal_double_factorial", "c[4,4] += 1",
-     _edit(_G.triangle, 4, {4: 1})),
+     _edit(gamma_expansion.TRIANGLE, 4, {4: 1})),
     ("c_first_column_factorial", "c[4,1] += 1",
-     _edit(_G.triangle, 4, {1: 1})),
+     _edit(gamma_expansion.TRIANGLE, 4, {1: 1})),
     ("c_bell_identity", "c[5,3] += 1",
-     _edit(_G.triangle, 5, {3: 1})),
+     _edit(gamma_expansion.TRIANGLE, 5, {3: 1})),
     ("gamma_path_equivalence", "K_10 of the Gamma side's series power += 0.5",
      _shift(_G.log_derivative, 10, 0.5)),
     ("gamma_integrand_power_identity", "exact A_a(s) of the Gamma side doubled",
@@ -157,9 +157,9 @@ LEDGER = [
     ("b_direct_equals_recurrence", "zeta_expansion.coeff_direct reads C(n, k+1)",
      _wrap(zeta_expansion, "binomial", lambda binom: lambda n, k: binom(n, k + 1))),
     ("b_first_column", "b[6,1] += 1",
-     _edit(_Z.triangle, 3, {1: 1})),
+     _edit(zeta_expansion.TRIANGLE, 3, {1: 1})),
     ("b_bell_identity", "b[6,2] += 1",
-     _edit(_Z.triangle, 3, {2: 1})),
+     _edit(zeta_expansion.TRIANGLE, 3, {2: 1})),
     ("zeta_path_equivalence", "K_10 of the zeta side's series power += 0.5",
      _shift(_Z.log_derivative, 10, 0.5)),
     ("zeta_integrand_power_identity", "exact A_a(s) of the zeta side doubled",
