@@ -5,9 +5,11 @@ Exit codes are a stable contract:
     0    success
     1    verification failure
     2    usage error (including tables --max above MAX_TABLE_ROW,
-         --terms or --max-terms above MAX_TERMS, verify --depth above
-         MAX_DEPTH, and an --s component whose digit count plus
-         |exponent| is above MAX_S_DIGITS)
+         --terms or --max-terms above MAX_TERMS, converge --stride
+         outside 1..--max-terms, verify --depth above MAX_DEPTH,
+         integral-check --n outside 0..12, --tol not a finite number
+         > 0 or --budget below 1, and an --s component whose digit
+         count plus |exponent| is above MAX_S_DIGITS)
     3    numeric-domain error (poles, out-of-domain arguments)
     4    quadrature budget exceeded
     141  the reader of stdout closed it early, as in ``| head``; nothing
@@ -15,8 +17,10 @@ Exit codes are a stable contract:
          process that SIGPIPE ended)
 
 All JSON output is a single object with schema_version, command,
-parameters, and payload; big integers are serialized as decimal strings
-so no consumer can lose precision to floating point. CSV uses a header
+parameters (the flags that the subparser lists in ``echo``), and
+payload (the command's result record, field by field, a complex number
+as {"re", "im"}); big integers are serialized as decimal strings so no
+consumer can lose precision to floating point. CSV uses a header
 row, comma separators, LF line endings, and plain decimal strings.
 Output is deterministic for identical flags.
 """
@@ -31,6 +35,7 @@ import sys
 
 from . import (
     combinatorics as comb,
+    factorial_series as fs,
     gamma_expansion,
     mittag_leffler,
     oracles,
@@ -108,22 +113,33 @@ def parse_complex_flag(text: str, positive_re: bool = False):
     return complex(float(re), float(im))
 
 
-def output_record(command: str, parameters: dict, payload) -> dict:
-    return {
+def emit_json(args, payload, stream) -> None:
+    """Write the record of one command: its subparser's ``echo`` flags
+    as parameters, in that order, and the payload."""
+    record = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "parameters": parameters,
+        "command": args.subcommand,
+        "parameters": {key: getattr(args, key) for key in args.echo},
         "payload": payload,
     }
-
-
-def emit_json(record: dict, stream) -> None:
     json.dump(record, stream, indent=2)
     stream.write("\n")
 
 
-def _complex_payload(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
+def _json(value):
+    # a result record field by field, a complex number as {"re", "im"}
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, tuple):  # a NamedTuple
+        return {key: _json(v) for key, v in zip(value._fields, value)}
+    return value
+
+
+def _check_range(flag: str, value: int, floor: int, cap: int) -> None:
+    if value < floor:
+        raise UsageError(f"{flag} must be " + ("nonnegative" if floor == 0 else f">= {floor}"))
+    if value > cap:
+        raise UsageError(f"{flag} {value} exceeds the cap {cap}")
 
 
 # ------------------------------------------------------------------- tables
@@ -143,10 +159,7 @@ TABLE_FAMILIES = tuple(TABLE_ROWS)
 
 
 def cmd_tables(args, out) -> int:
-    if args.max_row < 0:
-        raise UsageError("--max must be nonnegative")
-    if args.max_row > MAX_TABLE_ROW:
-        raise UsageError(f"--max {args.max_row} exceeds the cap {MAX_TABLE_ROW}")
+    _check_range("--max", args.max_row, 0, MAX_TABLE_ROW)
     rows = TABLE_ROWS[args.family](args.max_row)
     if args.format == "csv":
         out.write("row,col,value\n")
@@ -154,19 +167,8 @@ def cmd_tables(args, out) -> int:
             for k, value in enumerate(row):
                 out.write(f"{n},{k},{value}\n")
     else:
-        payload = {
-            "family": args.family,
-            "max_row": args.max_row,
-            "rows": [[str(v) for v in row] for row in rows],
-        }
-        emit_json(
-            output_record(
-                "tables",
-                {"family": args.family, "max_row": args.max_row, "format": "json"},
-                payload,
-            ),
-            out,
-        )
+        emit_json(args, {"family": args.family, "max_row": args.max_row,
+                         "rows": [[str(v) for v in row] for row in rows]}, out)
     return EXIT_OK
 
 
@@ -176,30 +178,9 @@ EVALUATORS = {"gamma": gamma_expansion, "zeta": zeta_expansion}
 
 
 def cmd_eval(args, out) -> int:
-    if args.terms < 1:
-        raise UsageError("--terms must be >= 1")
-    if args.terms > MAX_TERMS:
-        raise UsageError(f"--terms {args.terms} exceeds the cap {MAX_TERMS}")
+    _check_range("--terms", args.terms, 1, MAX_TERMS)
     s = parse_complex_flag(args.s, positive_re=args.target == "zeta")
-    report = EVALUATORS[args.target].evaluate(s, args.terms, args.path)
-    payload = {
-        "s": _complex_payload(report.s),
-        "terms": report.terms,
-        "path": report.path,
-        "partial_sum": _complex_payload(report.partial_sum),
-        "reference": _complex_payload(report.reference),
-        "abs_error": report.abs_error,
-        "rel_error": report.rel_error,
-        "term_magnitudes": report.term_magnitudes,
-    }
-    emit_json(
-        output_record(
-            "eval",
-            {"target": args.target, "s": args.s, "terms": args.terms, "path": args.path},
-            payload,
-        ),
-        out,
-    )
+    emit_json(args, _json(EVALUATORS[args.target].evaluate(s, args.terms, args.path)), out)
     return EXIT_OK
 
 
@@ -208,81 +189,35 @@ def cmd_eval(args, out) -> int:
 def cmd_converge(args, out) -> int:
     if not 1 <= args.stride <= args.max_terms:
         raise UsageError("requires max-terms >= stride >= 1")
-    if args.max_terms > MAX_TERMS:
-        raise UsageError(f"--max-terms {args.max_terms} exceeds the cap {MAX_TERMS}")
+    _check_range("--max-terms", args.max_terms, 1, MAX_TERMS)
     s = parse_complex_flag(args.s, positive_re=args.target == "zeta")
     module = EVALUATORS[args.target]
     # the oracle first: an s that it refuses costs no terms
     reference = module.reference_value(s)
     sums = module.partial_sums(s, args.max_terms, args.path)
-    samples = []
-    for terms in range(args.stride, args.max_terms + 1, args.stride):
-        value = sums[terms - 1]
-        rel = abs(value - reference) / abs(reference) if reference else float("inf")
-        samples.append((terms, value, rel))
+    samples = [(terms, value, fs.rel_error(value, reference))
+               for terms, value in enumerate(sums, 1) if terms % args.stride == 0]
     if args.format == "csv":
         out.write("terms,partial_sum_re,partial_sum_im,rel_error\n")
         for terms, value, rel in samples:
             out.write(f"{terms},{value.real!r},{value.imag!r},{rel!r}\n")
     else:
-        payload = {
-            "reference": _complex_payload(reference),
-            "samples": [
-                {
-                    "terms": terms,
-                    "partial_sum": _complex_payload(value),
-                    "rel_error": rel,
-                }
-                for terms, value, rel in samples
-            ],
-        }
-        emit_json(
-            output_record(
-                "converge",
-                {
-                    "target": args.target,
-                    "s": args.s,
-                    "max_terms": args.max_terms,
-                    "stride": args.stride,
-                    "path": args.path,
-                },
-                payload,
-            ),
-            out,
-        )
+        emit_json(args, {"reference": _json(reference), "samples": [
+            {"terms": terms, "partial_sum": _json(value), "rel_error": rel}
+            for terms, value, rel in samples]}, out)
     return EXIT_OK
 
 
 # ------------------------------------------------------------------- verify
 
 def cmd_verify(args, out) -> int:
-    if args.depth < 0:
-        raise UsageError("--depth must be nonnegative")
-    if args.depth > MAX_DEPTH:
-        raise UsageError(f"--depth {args.depth} exceeds the cap {MAX_DEPTH}")
+    _check_range("--depth", args.depth, 0, MAX_DEPTH)
     results = verify_mod.run_suite(args.suite, args.depth, seed=args.seed)
     if args.format == "json":
-        payload = {
-            "suite": args.suite,
-            "depth": args.depth,
-            "checks": [
-                {
-                    "suite": r.suite,
-                    "name": r.name,
-                    "status": "pass" if r.passed else "fail",
-                    "witness": r.witness,
-                }
-                for r in results
-            ],
-        }
-        emit_json(
-            output_record(
-                "verify",
-                {"suite": args.suite, "depth": args.depth, "seed": args.seed},
-                payload,
-            ),
-            out,
-        )
+        emit_json(args, {"suite": args.suite, "depth": args.depth, "checks": [
+            {"suite": r.suite, "name": r.name, "status": "pass" if r.passed else "fail",
+             "witness": r.witness}
+            for r in results]}, out)
     else:
         for r in results:
             if r.passed:
@@ -302,28 +237,10 @@ def cmd_integral_check(args, out) -> int:
     if args.budget < 1:
         raise UsageError("--budget must be >= 1")
     s = parse_complex_flag(args.s, positive_re=True)
-    report = oracles.integral_identity_check(s, args.n, tol=args.tol, budget=args.budget)
-    payload = {
-        "s": _complex_payload(report.s),
-        "n": report.n,
-        "lhs": _complex_payload(report.lhs),
-        "rhs": _complex_payload(report.rhs),
-        "abs_discrepancy": report.abs_discrepancy,
-        "rel_discrepancy": report.rel_discrepancy,
-        "quadrature": {
-            "error_estimate": report.quadrature.error_estimate,
-            "evaluations": report.quadrature.evaluations,
-            "converged": report.quadrature.converged,
-        },
-    }
-    emit_json(
-        output_record(
-            "integral-check",
-            {"s": args.s, "n": args.n, "tol": args.tol},
-            payload,
-        ),
-        out,
-    )
+    payload = _json(oracles.integral_identity_check(s, args.n, tol=args.tol,
+                                                    budget=args.budget))
+    del payload["quadrature"]["value"]  # the integral, which lhs already scales
+    emit_json(args, payload, out)
     return EXIT_OK
 
 
@@ -344,14 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", dest="max_row", type=int, required=True,
                    help=f"largest row index to emit (at most {MAX_TABLE_ROW})")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_tables)
+    p.set_defaults(func=cmd_tables, echo=("family", "max_row", "format"))
 
     p = sub.add_parser("eval", help="evaluate a truncated expansion")
     p.add_argument("target", choices=("gamma", "zeta"))
     p.add_argument("--s", required=True, help='argument, "RE" or "RE,IM"')
     p.add_argument("--terms", type=int, required=True)
     p.add_argument("--path", choices=("direct", "recurrence"), default="direct")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, echo=("target", "s", "terms", "path"))
 
     p = sub.add_parser("converge", help="sample convergence of an expansion")
     p.add_argument("target", choices=("gamma", "zeta"))
@@ -360,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=10)
     p.add_argument("--path", choices=("direct", "recurrence"), default="direct")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_converge)
+    p.set_defaults(func=cmd_converge, echo=("target", "s", "max_terms", "stride", "path"))
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suite", choices=("all",) + VERIFY_SUITES)
@@ -368,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for the randomized property checks")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, echo=("suite", "depth", "seed"))
 
     p = sub.add_parser("integral-check",
                        help="check the reduced-polynomial integral identity")
@@ -377,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=DEFAULT_QUAD_TOL)
     p.add_argument("--budget", type=int, default=DEFAULT_QUAD_BUDGET,
                    help="cap on integrand evaluations")
-    p.set_defaults(func=cmd_integral_check)
+    p.set_defaults(func=cmd_integral_check, echo=("s", "n", "tol"))
 
     return parser
 

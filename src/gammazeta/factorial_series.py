@@ -362,10 +362,14 @@ def running_sums(terms: list[complex]) -> list[complex]:
     return list(accumulate(terms, initial=0j))[1:]
 
 
+def rel_error(value: complex, reference: complex) -> float:
+    """|value - reference| / |reference|, infinite when the reference is 0."""
+    return abs(value - reference) / abs(reference) if reference else inf
+
+
 def series_report(s, path: str, terms: list[complex], reference: complex) -> SeriesReport:
     partial_sum = sum(terms)
-    abs_error = abs(partial_sum - reference)
-    rel_error = abs_error / abs(reference) if reference else float("inf")
     # positional, in field order: from keywords the record costs ~0.2 us more
     return SeriesReport(complex(s), len(terms), path, partial_sum, reference,
-                        abs_error, rel_error, [abs(t) for t in terms])
+                        abs(partial_sum - reference), rel_error(partial_sum, reference),
+                        [abs(t) for t in terms])

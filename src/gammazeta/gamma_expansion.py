@@ -137,7 +137,7 @@ def reference_value(s) -> complex:
     """Gamma(s+1), the value the expansion converges to, at an s that
     passes the expansion's own checks."""
     _checked(s)
-    return oracles.gamma_ref(complex(s) + 1)
+    return oracles.gamma_ref(complex(s + 1))  # s + 1 exact at rational s
 
 
 def evaluate(s, n_terms: int, path: str = "direct") -> SeriesReport:

@@ -364,6 +364,50 @@ def test_terms_above_the_cap_are_a_usage_error(argv, capsys):
     assert "exceeds the cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code, err, parameters", [
+    (["tables", "c", "--max=-1"], 2, "error: --max must be nonnegative\n", None),
+    (["tables", "c", "--max", "65"], 2, "error: --max 65 exceeds the cap 64\n", None),
+    (["eval", "gamma", "--s", "1.5", "--terms", "0"], 2, "error: --terms must be >= 1\n", None),
+    (["eval", "gamma", "--s", "1.5", "--terms", "1001"], 2,
+     "error: --terms 1001 exceeds the cap 1000\n", None),
+    (["converge", "gamma", "--s", "1.5", "--max-terms", "1001"], 2,
+     "error: --max-terms 1001 exceeds the cap 1000\n", None),
+    (["converge", "gamma", "--s", "1.5", "--max-terms", "5", "--stride", "0"], 2,
+     "error: requires max-terms >= stride >= 1\n", None),
+    (["verify", "all", "--depth=-1"], 2, "error: --depth must be nonnegative\n", None),
+    (["verify", "all", "--depth", "129"], 2, "error: --depth 129 exceeds the cap 128\n", None),
+    (["integral-check", "--s", "1", "--n", "13"], 2, "error: --n must lie in 0..12\n", None),
+    (["integral-check", "--s", "1", "--n", "0", "--tol", "0"], 2,
+     "error: --tol must be a finite number > 0\n", None),
+    (["integral-check", "--s", "1", "--n", "0", "--tol", "nan"], 2,
+     "error: --tol must be a finite number > 0\n", None),
+    (["integral-check", "--s", "1", "--n", "0", "--budget", "0"], 2,
+     "error: --budget must be >= 1\n", None),
+    (["tables", "c", "--max", "2", "--format", "json"], 0, "",
+     '{"family": "c", "max_row": 2, "format": "json"}'),
+    (["eval", "gamma", "--s", "1.5", "--terms", "3"], 0, "",
+     '{"target": "gamma", "s": "1.5", "terms": 3, "path": "direct"}'),
+    (["converge", "zeta", "--s", "0.75", "--max-terms", "4", "--stride", "2", "--path",
+      "recurrence", "--format", "json"], 0, "",
+     '{"target": "zeta", "s": "0.75", "max_terms": 4, "stride": 2, "path": "recurrence"}'),
+    (["verify", "bell", "--depth", "2", "--format", "json"], 0, "",
+     '{"suite": "bell", "depth": 2, "seed": 20214097}'),
+    (["integral-check", "--s", "1", "--n", "0", "--budget", "100000"], 0, "",
+     '{"s": "1", "n": 0, "tol": 1e-10}'),
+])
+def test_refusals_and_parameters_byte_for_byte(argv, code, err, parameters, capsys):
+    # each range refusal is one line on stderr and nothing on stdout; each
+    # JSON record echoes its subcommand's flags in this order
+    got_code, out = run_cli(argv)
+    assert (got_code, capsys.readouterr().err) == (code, err)
+    if parameters is None:
+        assert out == ""
+    else:
+        record = json.loads(out)
+        assert record["command"] == argv[0]
+        assert json.dumps(record["parameters"]) == parameters
+
+
 def test_terms_at_the_cap_are_accepted():
     # s = 1: every summand past b = 1 vanishes, so the cap costs little here
     code, out = run_cli(["eval", "gamma", "--s", "1", "--terms", str(cli.MAX_TERMS),
@@ -775,17 +819,30 @@ def _series_argvs(target, s):
              "--format", "json"]]
 
 
-# |delta| from 1e-16 to 1e-9, either sign
-_DELTA = st.builds(lambda m, e, sign: sign * Decimal(m).scaleb(e),
-                   st.integers(100, 999), st.integers(-18, -11), st.sampled_from((1, -1)))
+def _deltas(lowest):
+    # |delta| from 10**lowest to 1e-8, either sign
+    return st.builds(lambda m, e, sign: sign * Decimal(m).scaleb(e), st.integers(100, 999),
+                     st.integers(lowest - 2, -11), st.sampled_from((1, -1)))
+
+
+_DELTA = _deltas(-16)
 
 
 @settings(max_examples=40, deadline=None)
-@given(_DELTA)
+@given(_deltas(-18))
 def test_gamma_at_real_s_near_minus_one(delta):
+    # s + 1 = delta is exact at rational s, so the reference Gamma(delta)
+    # keeps delta's low bits, and 1/delta stays a float down to 1e-18
     s = Decimal(-1) + delta
     for argv in _series_argvs("gamma", s):
-        assert _run_at_boundary(argv) == (cli.EXIT_OK if delta > 0 else cli.EXIT_DOMAIN)
+        code, out = run_cli(argv)
+        assert code == (cli.EXIT_OK if delta > 0 else cli.EXIT_DOMAIN)
+        if code == cli.EXIT_OK:
+            payload = json.loads(out)["payload"]
+            assert _all_finite(payload)
+            if delta <= Decimal("1e-11"):
+                errors = [sample["rel_error"] for sample in payload.get("samples", [payload])]
+                assert max(errors) <= 1e-11, argv
 
 
 @settings(max_examples=40, deadline=None)
