@@ -9,11 +9,12 @@ with a kernel triangle T obeying
 
     T[r,b] = (r+b-1)...(r+b-d) * (T[r-d,b] + T[r-d,b-1]),    T[0,0] = 1.
 
-The sides differ only in the row stride d: d = 1 with T = c on the
-Gamma side, d = 2 with the even rows of b on the zeta side (the odd
-rows vanish). The modules of the sides build T for their tables; no
-evaluation reads it. A :class:`Side` carries d and the float weights K
-of the series power that every complex s runs.
+The sides differ in the row stride d, the floor of Re(s) and pref:
+d = 1, T = c, Re(s) > -1 and pref = 1 on the Gamma side; d = 2, the even
+rows of b (the odd rows vanish), Re(s) > 0 and pref = 2**(s-1)/s on the
+zeta side. The modules of the sides build T for their tables; no
+evaluation reads it. A :class:`Side` carries d, the floor, pref and the
+float weights K of the series power that every complex s runs.
 
 At rational s the "direct" path combines the kernel with falling
 factorials, as A_a(s) = sum_b w[r,b] (s)_b/b! with the s-independent
@@ -69,8 +70,8 @@ Both give the same bits, since each returns the correctly rounded value
 of the same rational. For non-real s both paths run the series power in
 complex floating point, as above.
 
-Domain checks and the prefactor stay with the callers, as does the
-choice between the exact and the float backend.
+:func:`expansion_terms` runs every check on the request and on s
+(:func:`checked`), then picks the exact backend or the float backend.
 """
 
 from __future__ import annotations
@@ -81,12 +82,13 @@ from itertools import accumulate
 from math import factorial, fsum, inf, prod
 from numbers import Rational
 from operator import mul, truediv
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .combinatorics import CachedSequence
-from .report import SeriesReport
+from .report import DomainError, PoleProximityError, SeriesReport
 
 PATHS = ("direct", "recurrence")
+POLE_TOLERANCE = 1e-12  # complex s nearer to -1 is refused as the pole of 1/(s+1)
 
 
 #: bits kept beyond the error bound and the 53 of a double
@@ -94,12 +96,15 @@ GUARD_BITS = 64
 
 
 class Side(NamedTuple):
-    """One expansion: row stride ``stride`` and the float coefficients
+    """One expansion: row stride ``stride``, the float coefficients
     ``log_derivative`` K_k = [t**(k-1)] L'/L of the series power's base
-    (entry k holds K_k; K_0 = 0)."""
+    (entry k holds K_k; K_0 = 0), the ``floor`` that Re(s) must exceed,
+    and the ``prefactor`` of the terms at float or complex s, or None."""
 
     stride: int
     log_derivative: CachedSequence
+    floor: int
+    prefactor: Callable | None
 
 
 def _log_weight(ks: list[float], n: int, d: int) -> float:
@@ -109,13 +114,13 @@ def _log_weight(ks: list[float], n: int, d: int) -> float:
     return n / (d * n + 1) - fsum(map(truediv, ks[:0:-1], range(d + 1, d * n + 1, d)))
 
 
-def kernel_side(stride: int) -> Side:
+def kernel_side(stride: int, floor: int, prefactor: Callable | None = None) -> Side:
     """A side whose K is built, and cached, entry by entry."""
 
     def log_weight(ks, n):
         return _log_weight(ks, n, stride)
 
-    return Side(stride, CachedSequence(log_weight))
+    return Side(stride, CachedSequence(log_weight), floor, prefactor)
 
 
 def as_fraction(s) -> Fraction | None:
@@ -133,11 +138,17 @@ def as_fraction(s) -> Fraction | None:
     raise TypeError(f"unsupported argument type {type(s)!r}")
 
 
-def check_request(n_terms: int, path: str) -> None:
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    if path not in PATHS:
-        raise ValueError(f"unknown path {path!r}")
+def checked(side: Side, s):
+    """The side's checks on s, asked before the oracle and the terms: s
+    as a Fraction (None at complex s), as a float or complex, and the
+    prefactor at s (None without one; OverflowError beyond the range)."""
+    frac = as_fraction(s)
+    if s.real <= side.floor:  # on the exact value: complex(1e-400) is 0
+        raise DomainError(f"expansion requires Re(s) > {side.floor}")
+    sf = complex(s) if frac is None else float(frac)  # OverflowError beyond the float range
+    if frac is None and abs(sf + 1) < POLE_TOLERANCE:
+        raise PoleProximityError("denominator s+1 vanishes")
+    return frac, sf, None if side.prefactor is None else side.prefactor(sf)
 
 
 def _numerator(row: list[int], r: int, q: int) -> int:
@@ -345,6 +356,19 @@ def float_terms(side: Side, s: complex, n_terms: int, pref=None) -> list[complex
     if pref is None:
         return [1 / (s + 1)] + [c / (s + d * a + 1) for a, c in enumerate(coeffs, 1)]
     return [pref / (s + 1)] + [pref * c / (s + d * a + 1) for a, c in enumerate(coeffs, 1)]
+
+
+def expansion_terms(side: Side, s, n_terms: int, path: str) -> list[complex]:
+    """Terms 0..n_terms-1 of the expansion at s, once the request and s
+    pass: correctly rounded at rational s, in floating point otherwise."""
+    if n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
+    if path not in PATHS:
+        raise ValueError(f"unknown path {path!r}")
+    frac, sf, pref = checked(side, s)
+    if frac is None:
+        return float_terms(side, sf, n_terms, pref)
+    return exact_terms(side, frac, n_terms, path, pref)
 
 
 def coefficients(side: Side, s, order: int) -> list:

@@ -38,12 +38,10 @@ from math import factorial
 
 from . import bell, factorial_series as fs, oracles
 from .combinatorics import CachedTriangle, _two_term_row, binomial, stirling1
-from .report import DomainError, PoleProximityError, SeriesReport
+from .report import SeriesReport
 
-POLE_TOLERANCE = 1e-12
-
-#: the Gamma side of the factorial-series engine (row stride 1)
-SIDE = fs.kernel_side(1)
+#: the Gamma side of the factorial-series engine: row stride 1, Re(s) > -1
+SIDE = fs.kernel_side(1, -1)
 #: row a holds c[a, b] for b = 0..a
 TRIANGLE = CachedTriangle(_two_term_row(lambda a, b: a + b - 1, lambda a, b: a + b - 1))
 
@@ -91,19 +89,6 @@ def log_series_bell_value(alpha: int, beta: int) -> Fraction:
     return Fraction(factorial(alpha) * coeff(alpha, beta), factorial(alpha + beta))
 
 
-def _checked(s) -> Fraction | None:
-    # the expansion's own checks on s, asked before the oracle and the
-    # terms; s as a Fraction, or None at complex s
-    frac = fs.as_fraction(s)
-    if s.real <= -1:
-        raise DomainError("expansion requires Re(s) > -1")
-    if frac is None and abs(complex(s) + 1) < POLE_TOLERANCE:
-        raise PoleProximityError("denominator s+1 vanishes")
-    if frac is not None:
-        float(frac)  # a real s beyond the float range raises OverflowError
-    return frac
-
-
 def expansion_terms(s, n_terms: int, path: str = "direct") -> list[complex]:
     """The first ``n_terms`` terms of the expansion (index a = 0..n_terms-1).
 
@@ -113,11 +98,7 @@ def expansion_terms(s, n_terms: int, path: str = "direct") -> list[complex]:
     rounded; complex s runs the series power in floating point on
     either path.
     """
-    fs.check_request(n_terms, path)
-    frac = _checked(s)
-    if frac is not None:
-        return fs.exact_terms(SIDE, frac, n_terms, path)
-    return fs.float_terms(SIDE, complex(s), n_terms)
+    return fs.expansion_terms(SIDE, s, n_terms, path)
 
 
 def partial_sums(s, n_terms: int, path: str = "direct") -> list[complex]:
@@ -136,7 +117,7 @@ def integrand_coeffs(s, order: int) -> bell.TruncatedSeries:
 def reference_value(s) -> complex:
     """Gamma(s+1), the value the expansion converges to, at an s that
     passes the expansion's own checks."""
-    _checked(s)
+    fs.checked(SIDE, s)
     return oracles.gamma_ref(complex(s + 1))  # s + 1 exact at rational s
 
 

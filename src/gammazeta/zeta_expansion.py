@@ -49,10 +49,23 @@ from math import factorial, inf, isfinite
 
 from . import bell, factorial_series as fs, mittag_leffler, oracles
 from .combinatorics import CachedTriangle, _two_term_row, binomial
-from .report import DefectError, DomainError, SeriesReport
+from .report import DefectError, SeriesReport
 
-#: the zeta side of the factorial-series engine (row stride 2)
-SIDE = fs.kernel_side(2)
+
+def prefactor(s):
+    """2**(s-1)/s at float or complex s; OverflowError where it is beyond
+    the float range, as at |s| below about 1e-308 or Re(s) >= 1025."""
+    try:
+        pref = 2 ** (s - 1) / s
+    except (OverflowError, ZeroDivisionError):  # s is 0.0 or Re(s) - 1 >= 1024
+        pref = inf
+    if not (isfinite(pref.real) and isfinite(pref.imag)):
+        raise OverflowError("the prefactor 2**(s-1)/s is beyond the float range")
+    return pref
+
+
+#: the zeta side of the factorial-series engine: row stride 2, Re(s) > 0
+SIDE = fs.kernel_side(2, 0, prefactor)
 #: even rows only: row m holds b[2m, k] for k = 0..m
 TRIANGLE = CachedTriangle(_two_term_row(lambda m, k: (2 * m + k - 2) * (2 * m + k - 1),
                                         lambda m, k: (2 * m + k - 2) * (2 * m + k - 1)))
@@ -111,31 +124,13 @@ def log_ratio_bell_value(alpha: int, beta: int) -> Fraction:
     return Fraction(factorial(alpha) * coeff(alpha, beta), factorial(alpha + beta))
 
 
-def _checked(s):
-    # the expansion's own checks on s, asked before the oracle and the
-    # terms; s as a Fraction (None at complex s), s as a float or complex,
-    # and the prefactor 2**(s-1)/s
-    frac = fs.as_fraction(s)
-    if s.real <= 0:  # on the exact value: complex(1e-400) is 0
-        raise DomainError("expansion requires Re(s) > 0")
-    sf = complex(s) if frac is None else float(frac)
-    pref = 2 ** (sf - 1) / sf if sf else inf
-    if not (isfinite(pref.real) and isfinite(pref.imag)):  # |s| below about 1e-308
-        raise OverflowError("the prefactor 2**(s-1)/s is beyond the float range")
-    return frac, sf, pref
-
-
 def expansion_terms(s, n_terms: int, path: str = "direct") -> list[complex]:
     """First ``n_terms`` terms (m = 0..n_terms-1) of the expansion of
     eta(s)Gamma(s); term 0 is 2**(s-1)/s * 1/(s+1).
 
     Requires Re(s) > 0 (the validity region of the underlying integral).
     """
-    fs.check_request(n_terms, path)
-    frac, sf, pref = _checked(s)
-    if frac is None:
-        return fs.float_terms(SIDE, sf, n_terms, pref)
-    return fs.exact_terms(SIDE, frac, n_terms, path, pref)
+    return fs.expansion_terms(SIDE, s, n_terms, path)
 
 
 def partial_sums(s, n_terms: int, path: str = "direct") -> list[complex]:
@@ -155,7 +150,7 @@ def log_ratio_coeffs(r, order: int) -> bell.TruncatedSeries:
 def reference_value(s) -> complex:
     """eta(s)Gamma(s), the value the expansion converges to, at an s that
     passes the expansion's own checks."""
-    _checked(s)
+    fs.checked(SIDE, s)
     return oracles.eta_ref(complex(s)) * oracles.gamma_ref(complex(s))
 
 

@@ -30,6 +30,8 @@ that has the current API.
 - ``coeffs.json``: ``integrand_coeffs`` and ``log_ratio_coeffs`` to
   order 30, exact Fractions as strings, complex floats as ``float.hex``.
 - ``cli.json``: the stdout of a set of CLI commands, byte for byte.
+- ``refusals.json``: the exit code, stdout and stderr of ``eval`` and
+  ``converge`` on both paths at each s of ``REFUSALS``, byte for byte.
 - ``quadrature.json``: the double-exponential rules and the integrals
   built on them. Each result is recorded as ``float.hex`` of ``value``
   and ``error_estimate``, plus ``evaluations`` and ``converged``.
@@ -258,6 +260,39 @@ def collect_cli() -> dict:
     return {" ".join(argv): cli_stdout(argv) for argv in CLI_ARGVS}
 
 
+# (side, s) that eval and converge refuse: Re(s) at the floor, the pole
+# of 1/(s+1), a real s beyond the float range, the prefactor 2**(s-1)/s
+# beyond it (at tiny |s| and from Re(s) = 1025 on), Re(s) > 0 rounding
+# to 0.0, and s that the oracle, asked first, refuses
+REFUSALS = [
+    ("gamma", "-1"), ("gamma", "-1.5,2"), ("zeta", "0"), ("zeta", "-0.5,1"),
+    ("gamma", "-0.9999999999999,1e-13"),
+    ("gamma", "1e999"), ("zeta", "1e999"),
+    ("zeta", "1e-320"), ("zeta", "5e-324,5e-324"), ("zeta", "1e-400"),
+    ("zeta", "1025"), ("zeta", "1e5"), ("zeta", "2000,1"),
+    ("zeta", "1e-400,1"),
+    ("gamma", "180"), ("gamma", "999,1000"), ("zeta", "0.5,200"),
+]
+
+
+def cli_run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def collect_refusals() -> dict:
+    out = {}
+    for side, s in REFUSALS:
+        for path in PATHS:
+            for argv in (["eval", side, f"--s={s}", "--terms", "3"],
+                         ["converge", side, f"--s={s}", "--max-terms", "3", "--stride", "1"]):
+                argv += ["--path", path]
+                out[" ".join(argv)] = cli_run(argv)
+    return out
+
+
 # (label, rule, integrand, interval arguments, keyword arguments); the
 # budget-limited cases stop before reaching ``tol``, the "every level"
 # ones run out of refinement levels, and "nan far out"
@@ -450,6 +485,7 @@ COLLECTORS = {
     "complex_sweep.json": collect_complex_sweep,
     "coeffs.json": collect_coeffs,
     "cli.json": collect_cli,
+    "refusals.json": collect_refusals,
     "quadrature.json": collect_quadrature,
     "commands.json": collect_commands,
     "polynomials.json": collect_polynomials,

@@ -598,11 +598,15 @@ def test_s_beyond_the_float_range_says_so(argv, capsys):
         ["eval", "zeta", "--s", "5e-324,5e-324", "--terms", "3"],
         ["converge", "zeta", "--s", "1e-320,-1e-320", "--max-terms", "3", "--stride", "1",
          "--path", "recurrence"],
+        ["eval", "zeta", "--s", "1025", "--terms", "3"],
+        ["eval", "zeta", "--s", "1e5", "--terms", "3", "--path", "recurrence"],
+        ["converge", "zeta", "--s", "1e5", "--max-terms", "3", "--stride", "1"],
+        ["eval", "zeta", "--s", "2000,1", "--terms", "3"],
     ],
 )
 def test_complex_zeta_prefactor_beyond_the_float_range(argv, capsys):
-    # 2**(s-1)/s overflows at |s| ~ 1e-320; the expansion says so before
-    # any oracle runs
+    # 2**(s-1)/s overflows at |s| ~ 1e-320, and 2**(s-1) alone from
+    # Re(s) = 1025 on; the expansion says so before any oracle runs
     assert run_cli(argv) == (cli.EXIT_DOMAIN, "")
     assert capsys.readouterr().err == (
         "numeric-domain error: float overflow "

@@ -17,6 +17,8 @@ from gammazeta import gamma_expansion as ge
 from gammazeta import zeta_expansion as ze
 from gammazeta.combinatorics import CachedTriangle
 
+FLOORS = {1: ge.SIDE.floor, 2: ze.SIDE.floor}  # the Re(s) floor of each stride's side
+
 
 def _bits(terms):
     return [(t.real.hex(), t.imag.hex()) for t in terms]
@@ -89,7 +91,7 @@ def test_float_recurrence_terms_are_accurate(side_name, data, n_terms):
     im = data.draw(st.floats(-20.0, 20.0).filter(lambda y: y != 0))
     s = complex(re, im)
     assume(abs(s) >= 1e-300)
-    assume(side_name == "zeta" or abs(s + 1) >= ge.POLE_TOLERANCE)
+    assume(side_name == "zeta" or abs(s + 1) >= fs.POLE_TOLERANCE)
     reference = _power_reference(module.SIDE.stride, s, n_terms, mpmath)
     pref = 1 if module is ge else 2 ** (s - 1) / s
     for path in fs.PATHS:
@@ -275,7 +277,7 @@ def test_complex_s_builds_no_exact_kernel_row(monkeypatch, stride):
 
     monkeypatch.setattr(fs, "_exact_sums", fail)
     monkeypatch.setattr(fs, "_fixed_rows", fail)
-    side = fs.kernel_side(stride)
+    side = fs.kernel_side(stride, FLOORS[stride])
     assert len(fs.float_terms(side, 1 + 1j, 60)) == 60
     assert len(fs.coefficients(side, 0.5 + 1j, 30)) == 31
 
@@ -284,7 +286,7 @@ def test_interrupted_log_weight_build_keeps_a_valid_prefix(monkeypatch):
     # a KeyboardInterrupt in the middle of a build of K, as a library
     # caller may raise it, keeps the entries before the interrupted one,
     # and a later build carries on from them
-    side = fs.kernel_side(2)
+    side = fs.kernel_side(2, 0)
     log_weight = fs._log_weight
 
     def interrupt(ks, n, d):
@@ -297,7 +299,7 @@ def test_interrupted_log_weight_build_keeps_a_valid_prefix(monkeypatch):
         side.log_derivative.ensure(20)
     monkeypatch.undo()
     assert len(side.log_derivative._rows) == 7
-    assert side.log_derivative.prefix(31) == fs.kernel_side(2).log_derivative.prefix(31)
+    assert side.log_derivative.prefix(31) == fs.kernel_side(2, 0).log_derivative.prefix(31)
 
 
 def _exact_log_weights(d, n):
@@ -310,19 +312,41 @@ def _exact_log_weights(d, n):
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_log_weights_are_within_16_ulps(stride):
-    ks = fs.kernel_side(stride).log_derivative.prefix(201)
+    ks = fs.kernel_side(stride, FLOORS[stride]).log_derivative.prefix(201)
     for k, (got, want) in enumerate(zip(ks, _exact_log_weights(stride, 201))):
         assert abs(Fraction(got) - want) <= 16 * Fraction(math.ulp(got)), k
 
 
+def _closed_form_log_weights(d, n):
+    # K_1..K_{n-1} from the paper's own numbers: sum_k |s1(m,k)|/(k+1) / m!
+    # at d = 1, sum_k a[2m,k]/(k+1) / (2 (2m)!) at d = 2
+    from gammazeta import combinatorics, mittag_leffler
+
+    if d == 1:
+        return [sum(Fraction(abs(combinatorics.stirling1(m, k)), k + 1) for k in range(m + 1))
+                / factorial(m) for m in range(1, n)]
+    return [sum(Fraction(mittag_leffler.coeff(2 * m, k), k + 1) for k in range(2 * m + 1))
+            / (2 * factorial(2 * m)) for m in range(1, n)]
+
+
+@pytest.mark.parametrize("side", [ge.SIDE, ze.SIDE], ids=["gamma", "zeta"])
+def test_log_weights_match_their_closed_forms(side):
+    ks = side.log_derivative.prefix(201)[1:]
+    for m, (got, want) in enumerate(zip(ks, _closed_form_log_weights(side.stride, 201)), 1):
+        assert abs(Fraction(got) - want) <= 16 * Fraction(math.ulp(got)), m
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 def test_log_weights_lie_in_0_to_1_over_d_up_to_the_cap(stride):
-    # 0 < K_k = k l_k <= 1/d: the premise 0 <= l_k <= 1/(dk) on the
-    # coefficients l_k of log L, for every k a command can reach
+    # 1/(d+1) = K_1 > K_2 > ... > 0 for every k a command can reach: the
+    # premise 0 < l_k <= 1/((d+1)k) on the coefficients l_k = K_k/k of
+    # log L, and, as K_k - K_{k-1} = h_k/d with h_j = [t**j] 1/L, the sign
+    # h_j < 0 for 2 <= j <= MAX_TERMS
     from gammazeta.cli import MAX_TERMS
 
-    ks = fs.kernel_side(stride).log_derivative.prefix(MAX_TERMS + 1)
-    assert all(0 < k <= 1 / stride for k in ks[1:])
+    ks = fs.kernel_side(stride, FLOORS[stride]).log_derivative.prefix(MAX_TERMS + 1)
+    assert all(0 < k <= 1 / (stride + 1) for k in ks[1:])
+    assert all(earlier > later for earlier, later in zip(ks[1:], ks[2:]))
 
 
 def test_log_weights_are_built_lazily_to_the_depth_asked():

@@ -17,7 +17,10 @@ test held both paths to that reference; each re-captured ``direct`` term
 has the bits of its ``recurrence`` twin. Every other record kept its
 bytes. ``complex_sweep.json`` was captured before the series power's dot
 product took complex K and before the eta oracle read its weights from
-a per-order float table.
+a per-order float table. ``refusals.json`` was captured before the
+checks on s moved from the two sides into the engine; its rows for the
+prefactor's overflow from Re(s) = 1025 on were added after the message
+for it was mended.
 
 Every term's bits on both backends and paths, the exact and float
 coefficient helpers, the quadrature results (value and error bits,
