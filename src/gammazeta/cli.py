@@ -316,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"numeric-domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except OverflowError as exc:  # a value beyond the float range, e.g. Gamma(201)
+    except OverflowError as exc:  # a value beyond the float range, e.g. float(s) at s = 1e400
         print(f"numeric-domain error: float overflow ({exc})", file=sys.stderr)
         return EXIT_DOMAIN
     except BudgetExceededError as exc:

@@ -47,15 +47,18 @@ N = 1000 at s = 0.5+3i and 2+5i. The float weights K are cached in
 Each call turns them into complex(K, 0.0) once: a float times a complex
 is promoted to exactly that product, so the bits stay those of real K.
 
-For rational s = p/q each term A_a(s)/(s+r+1) comes out correctly
-rounded, from the first of two tiers that can vouch for it:
+For rational s = p/q each inner term A_a(s)/(s+r+1) comes out
+correctly rounded, from the first of two tiers that can vouch for it:
 
-1. Certified fixed point (every s but 0), in one pass. Every value is an
-   integer scaled by 2**P and each step a floor division, so only
-   small-by-P-bit products appear: the direct path sums each weight row
-   by Horner's rule over the exact ratios of successive binomials
-   (:func:`_horner`). A rigorous bound on the error of each row's sum
-   (:func:`_row_bounds`, :func:`_term_bounds`) gives an interval around
+1. Certified fixed point (every s but 0), in one pass
+   (:func:`_fixed_terms`, the one function of the tiers that reads the
+   path). Every value is an integer scaled by 2**P and each step a floor
+   division, so only small-by-P-bit products appear. The direct path
+   floors the weight rows and sums each by Horner's rule over the exact
+   ratios of successive binomials (:func:`_horner`); the recurrence path
+   floors the summand rows at s and adds them. A rigorous bound on the
+   error of each row (:func:`_row_bounds`) and of its sum
+   (:func:`_horner_bounds` on the direct path) gives an interval around
    the term; the term is kept when both ends of the interval round to
    the same double. P is chosen from the bound of the last row plus 53
    bits and a guard. At integer s >= 0 the binomials C(s, b) and the
@@ -67,8 +70,9 @@ rounded, from the first of two tiers that can vouch for it:
    factor s, so each inner term is exactly 0.0.
 
 Both give the same bits, since each returns the correctly rounded value
-of the same rational. For non-real s both paths run the series power in
-complex floating point, as above.
+of the same rational. A side's float prefactor then scales each rounded
+term, which rounds it again (see :mod:`.zeta_expansion`). For non-real
+s both paths run the series power in complex floating point, as above.
 
 :func:`expansion_terms` runs every check on the request and on s
 (:func:`checked`), then picks the exact backend or the float backend.
@@ -178,7 +182,8 @@ def _exact_sums(d: int, p: int, q: int, n: int):
 
 def _row_bounds(d: int, p: int, q: int, n: int) -> list[int]:
     """E[a] for a = 0..n-1: a bound on |G[b] - g[r,b] 2**P| over row a
-    of :func:`_fixed_rows`, whatever P is.
+    of :func:`_fixed_rows`, whatever P is, at the s that
+    :func:`_fixed_terms` picks for the path (s = -1 on the direct path).
 
     Proof. Row 0 is exact (E[0] = 0), and g[r,0] = 0 for r > 0 is exact
     in every later row. Step a computes, for b = 1..a,
@@ -245,24 +250,24 @@ def _round_interval(lo: int, hi: int, den: int) -> float | None:
 
 def _horner(row: list[int], p: int, q: int) -> int:
     """q D, D ~ sum_b row[b] beta_b with beta_b = (-1)**b (s)_b/b! at s = p/q:
-    h <- row[b] + floor(h m[b+1]/(q(b+1))) from the last b down to b = 1,
-    m[b] = (b-1)q - p (beta_b/beta_{b-1} = m[b]/(qb)), and q D = h m[1]."""
+    the value that :func:`_fixed_terms` takes from a weight row on the
+    direct path. h <- row[b] + floor(h m[b+1]/(q(b+1))) from the last b
+    down to b = 1, m[b] = (b-1)q - p (beta_b/beta_{b-1} = m[b]/(qb)), and
+    q D = h m[1]."""
     h, top = 0, len(row) - 1
     for w, m, z in zip(row[:0:-1], range(top * q - p, -p, -q), range(top * q + q, q, -q)):
         h = w + h * m // z
     return -p * h
 
 
-def _term_bounds(bounds: list[int], p: int, q: int, path: str) -> list[int]:
-    """err[a] >= |V - A_a(s) 2**P|, whatever P, for the value V that
-    :func:`_fixed_terms` takes from row a, whose entries err by at most
-    E[a] = ``bounds[a]``. The recurrence path sums a entries. Unrolled,
-    the D of :func:`_horner` on a weight row W is sum_b beta_b (W[b] + f_b),
-    f_b in (-1, 0] the error of step b's floor, so it errs by at most
-    (E[a] + 1) sum_{b<=a} |beta_b|; the running product of the same ratios,
-    rounded up, bounds |beta_b| 2**GUARD_BITS, and is 0 where beta_b is."""
-    if path == "recurrence":
-        return [a * e for a, e in enumerate(bounds)]
+def _horner_bounds(bounds: list[int], p: int, q: int) -> list[int]:
+    """err[a] >= |D - A_a(s) 2**P|, whatever P, for the D of :func:`_horner`
+    on weight row a, whose entries err by at most E[a] = ``bounds[a]``:
+    the radius of the direct path's terms in :func:`_fixed_terms`.
+    Unrolled, D = sum_b beta_b (W[b] + f_b), f_b in (-1, 0] the error of
+    step b's floor, so it errs by at most (E[a] + 1) sum_{b<=a} |beta_b|;
+    the running product of the same ratios, rounded up, bounds
+    |beta_b| 2**GUARD_BITS, and is 0 where beta_b is."""
     mass, beta = [0], 1 << GUARD_BITS
     for b in range(1, len(bounds)):
         beta = -(-beta * abs((b - 1) * q - p) // (q * b))
@@ -270,24 +275,30 @@ def _term_bounds(bounds: list[int], p: int, q: int, path: str) -> list[int]:
     return [-(-(e + 1) * m >> GUARD_BITS) for e, m in zip(bounds, mass)]
 
 
-def _fixed_terms(side: Side, p: int, q: int, n: int, path: str, prec: int,
-                 rows_s: tuple[int, int], errs: list[int]):
-    """A_a(p/q)/(s+r+1) for a = 1..n-1 from the summand rows at
-    ``rows_s``, each the correctly rounded float, or None where the
-    interval at precision ``prec`` and of radius ``errs[a]`` does not
-    round to one double."""
+def _fixed_terms(d: int, p: int, q: int, n: int, path: str):
+    """A_a(p/q)/(s+r+1) for a = 1..n-1 from one fixed-point pass, each the
+    correctly rounded float, or None where the term's interval does not
+    round to one double. The only function of the rational-s tiers that
+    reads ``path``: ``direct`` floors the weight rows (the summand rows at
+    s = -1) and sums each by :func:`_horner`, within
+    :func:`_horner_bounds`; ``recurrence`` floors the summand rows at s
+    and adds the a entries of row a, each within E[a], so within a E[a]."""
+    direct = path == "direct"
+    rows_s = (-1, 1) if direct else (p, q)
+    bounds = _row_bounds(d, *rows_s, n)
+    errs = _horner_bounds(bounds, p, q) if direct else [a * e for a, e in enumerate(bounds)]
+    prec = _start_precision(bounds, p, q)
     # at integer s >= 0 both paths keep columns 0..s: beta_b = 0 beyond
     # b = s, and so are the summands (every later entry reads only zeros)
     width = p + 1 if q == 1 and p >= 0 else inf
-    d, rows = side.stride, _fixed_rows(side.stride, *rows_s, n, prec, width)
-    for a, row in enumerate(rows, 1):
-        value = _horner(row, p, q) if path == "direct" else q * sum(row)  # q D
+    for a, row in enumerate(_fixed_rows(d, *rows_s, n, prec, width), 1):
+        value = _horner(row, p, q) if direct else q * sum(row)  # q D
         den = (p + (d * a + 1) * q) << prec
         yield _round_interval(value - q * errs[a], value + q * errs[a], den)
 
 
 def _start_precision(row_bounds: list[int], p: int, q: int) -> int:
-    """The precision of the fixed-point pass: the bits of the last row's
+    """The precision P of the fixed-point pass: the bits of the last row's
     bound on the sum of its n entries, 53 more for a double, a guard, and
     the bits that |s| < 1 takes off every A_a(s), which has the factor s."""
     small = max(0, q.bit_length() - abs(p).bit_length())
@@ -297,18 +308,14 @@ def _start_precision(row_bounds: list[int], p: int, q: int) -> int:
 def exact_terms(
     side: Side, s: Fraction, n_terms: int, path: str, pref=None
 ) -> list[complex]:
-    """Terms 0..n_terms-1 of the expansion at rational s, each rounded
-    once, by the first tier that certifies it (see the module
-    docstring); ``pref`` (a float, or None for no prefactor) scales each
-    rounded term."""
+    """Terms 0..n_terms-1 of the expansion at rational s: each inner term
+    A_a(s)/(s+r+1) rounded once, by the first tier that certifies it (see
+    the module docstring); ``pref`` (a float, or None for no prefactor)
+    scales each rounded term."""
     p, q = s.numerator, s.denominator
     inner = [0.0] * n_terms  # inner[a] = A_a/(s+r+1), rounded, for a >= 1
     if p != 0:  # A_a(0) = 0: neither tier runs
-        # the direct path runs the weight rows: the summand rows at s = -1
-        rows_s = (-1, 1) if path == "direct" else (p, q)
-        bounds = _row_bounds(side.stride, *rows_s, n_terms)
-        prec, errs = _start_precision(bounds, p, q), _term_bounds(bounds, p, q, path)
-        inner[1:] = _fixed_terms(side, p, q, n_terms, path, prec, rows_s, errs)
+        inner[1:] = _fixed_terms(side.stride, p, q, n_terms, path)
     open_terms = [a for a in range(1, n_terms) if inner[a] is None]
     if open_terms:
         for a, (num, den) in enumerate(_exact_sums(side.stride, p, q, open_terms[-1] + 1), 1):

@@ -63,19 +63,17 @@ def gamma_ref(s) -> complex:
         acc += _LANCZOS_COEFFS[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
     try:
-        power = t ** (z + 0.5)
-    except ZeroDivisionError as exc:  # its phase overflowed: Im(s) beyond float range
-        raise DomainError(f"Gamma oracle out of float range at s = {s!r}") from exc
-    except OverflowError:
-        # t**(z+0.5) leaves the float range from Re s ~ 143 on, Gamma only
-        # beyond ~171.6: take the power in halves around exp(-t)
-        half = t ** ((z + 0.5) / 2)
-        scaled = half * cmath.exp(-t) * half
-        if not cmath.isfinite(scaled):
-            raise
-        value = math.sqrt(2 * math.pi) * scaled * acc
-    else:
-        value = math.sqrt(2 * math.pi) * power * cmath.exp(-t) * acc
+        try:
+            value = math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
+        except OverflowError:
+            # t**(z+0.5) leaves the float range from Re s ~ 143 on, Gamma only
+            # beyond ~171.6: take the power in halves around exp(-t)
+            half = t ** ((z + 0.5) / 2)
+            value = math.sqrt(2 * math.pi) * (half * cmath.exp(-t) * half) * acc
+    # a half overflows too from Re s ~ 1000 on, and the phase of the power
+    # (ZeroDivisionError) once Im s is beyond the float range
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
     if not cmath.isfinite(value):  # |s| far beyond the range of Gamma's floats
         raise DomainError(f"Gamma oracle out of float range at s = {s!r}")
     return value
@@ -133,7 +131,10 @@ def eta_ref(s, acceleration_order: int | None = None) -> complex:
     weights, dn = _eta_weights(n)
     acc = 0j
     for k, w in enumerate(weights):
-        term = w / complex(k + 1) ** s
+        try:
+            term = w / complex(k + 1) ** s
+        except OverflowError:  # (k+1)**Re(s) beyond the float range: the term is 0.0
+            term = 0j
         acc += term if k % 2 == 0 else -term
     return acc / dn
 

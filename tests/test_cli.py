@@ -522,41 +522,51 @@ def test_stdout_closed_early_exits_quietly(argv):
     assert err == b""
 
 
+def _gamma_oracle_line(s):
+    # the exact stderr of a real s that the Gamma oracle refuses
+    return f"numeric-domain error: Gamma oracle out of float range at s = {complex(s)!r}\n"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["eval", "gamma", "--s", "200", "--terms", "20"],
-        ["eval", "zeta", "--s", "200", "--terms", "5"],
-        ["eval", "zeta", "--s", "2000", "--terms", "5"],
-        ["eval", "gamma", "--s", "1e400", "--terms", "3"],
-        # non-integer: the certified tier stops at the first term beyond the range
-        ["eval", "gamma", "--s", "100000000000000000000.5", "--terms", "1000"],
-        ["converge", "gamma", "--s", "100000000000000000000.5", "--max-terms", "1000",
-         "--path", "recurrence"],
-        ["integral-check", "--s", "200", "--n", "1"],
+        # the Gamma side's reference is Gamma(s+1)
+        (["eval", "gamma", "--s", "200", "--terms", "20"], _gamma_oracle_line(201)),
+        (["eval", "zeta", "--s", "200", "--terms", "5"], _gamma_oracle_line(200)),
+        (["eval", "zeta", "--s", "2000", "--terms", "5"], "numeric-domain error: float overflow"),
+        (["eval", "gamma", "--s", "1e400", "--terms", "3"],
+         "numeric-domain error: float overflow"),
+        (["eval", "gamma", "--s", "100000000000000000000.5", "--terms", "1000"],
+         _gamma_oracle_line(1e20)),
+        (["converge", "gamma", "--s", "100000000000000000000.5", "--max-terms", "1000",
+          "--path", "recurrence"], _gamma_oracle_line(1e20)),
+        (["integral-check", "--s", "200", "--n", "1"], "numeric-domain error: float overflow"),
     ],
 )
-def test_float_overflow_is_a_domain_error(argv, capsys):
+def test_float_overflow_is_a_domain_error(argv, message, capsys):
     code, out = run_cli(argv)
     assert code == cli.EXIT_DOMAIN
     assert out == ""
     err = capsys.readouterr().err
-    assert err.startswith("numeric-domain error: float overflow")
+    assert err.startswith(message)
     assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("path", ["direct", "recurrence"])
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["eval", "gamma", "--s", "1e999", "--terms", "1000"],
-        ["converge", "gamma", "--s", "1e999", "--max-terms", "1000"],
-        ["eval", "zeta", "--s", "1000.5", "--terms", "800"],
-        ["converge", "zeta", "--s", "1000.5", "--max-terms", "800", "--stride", "100"],
-        ["eval", "gamma", "--s", "180", "--terms", "1000"],
+        (["eval", "gamma", "--s", "1e999", "--terms", "1000"],
+         "numeric-domain error: float overflow"),
+        (["converge", "gamma", "--s", "1e999", "--max-terms", "1000"],
+         "numeric-domain error: float overflow"),
+        (["eval", "zeta", "--s", "1000.5", "--terms", "800"], _gamma_oracle_line(1000.5)),
+        (["converge", "zeta", "--s", "1000.5", "--max-terms", "800", "--stride", "100"],
+         _gamma_oracle_line(1000.5)),
+        (["eval", "gamma", "--s", "180", "--terms", "1000"], _gamma_oracle_line(181)),
     ],
 )
-def test_an_s_the_oracle_refuses_costs_no_terms(argv, path, monkeypatch, capsys):
+def test_an_s_the_oracle_refuses_costs_no_terms(argv, message, path, monkeypatch, capsys):
     # eval and converge ask the oracle before the terms, which alone take seconds at these s
     from gammazeta import factorial_series as fs
 
@@ -566,7 +576,7 @@ def test_an_s_the_oracle_refuses_costs_no_terms(argv, path, monkeypatch, capsys)
     monkeypatch.setattr(fs, "exact_terms", no_terms)
     monkeypatch.setattr(fs, "float_terms", no_terms)
     assert run_cli(argv + ["--path", path]) == (cli.EXIT_DOMAIN, "")
-    assert capsys.readouterr().err.startswith("numeric-domain error: float overflow")
+    assert capsys.readouterr().err.startswith(message)
 
 
 @pytest.mark.parametrize(
@@ -712,6 +722,13 @@ def test_eta_oracle_order_cap_is_a_domain_error(argv, capsys):
         (["eval", "zeta", "--s", "0.5,1e308", "--terms", "3"], "eta oracle needs"),
         (["eval", "gamma", "--s", "1e300,1e300", "--terms", "3"],
          "Gamma oracle out of float range"),
+        # real s: the halves of the Lanczos power meet as inf and 0 (Gamma at
+        # s = 181), or a half overflows itself (from s ~ 1000 on)
+        (["eval", "gamma", "--s", "180", "--terms", "3"], _gamma_oracle_line(181)),
+        (["eval", "zeta", "--s", "1024.5", "--terms", "3"], _gamma_oracle_line(1024.5)),
+        (["eval", "zeta", "--s", "1000.5", "--terms", "800"], _gamma_oracle_line(1000.5)),
+        (["eval", "gamma", "--s", "100000000000000000000.5", "--terms", "1000"],
+         _gamma_oracle_line(1e20)),
     ],
 )
 def test_a_value_beyond_the_float_range_is_a_domain_error(argv, message, capsys):

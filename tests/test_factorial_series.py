@@ -9,7 +9,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gammazeta import factorial_series as fs
@@ -98,6 +98,32 @@ def test_float_recurrence_terms_are_accurate(side_name, data, n_terms):
         terms = module.expansion_terms(s, n_terms, path)
         for a, (got, want) in enumerate(zip(terms, reference)):
             assert abs(got - pref * want) <= 1e-12 * abs(pref * want), (s, a, path)
+
+
+@pytest.mark.parametrize("side_name", ["gamma", "zeta"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n_terms=st.integers(1, 100))
+def test_rational_terms_are_rounded_as_documented(side_name, data, n_terms):
+    # against a 200-bit (60-digit) reference that shares no code with the
+    # engine: each Gamma term is the correctly rounded value, and each
+    # zeta term, the rounded inner term times the float prefactor rounded
+    # again, lies within the zeta_expansion docstring's bound,
+    # (ln 2 (|s| + |s-1|) + 8) 2**-53 of the value, relative
+    mpmath = pytest.importorskip("mpmath")
+    module = ge if side_name == "gamma" else ze
+    s = data.draw(_rationals(module.SIDE.floor))
+    terms = module.expansion_terms(s, n_terms, data.draw(st.sampled_from(fs.PATHS)))
+    with mpmath.workprec(200):
+        exact_s = mpmath.mpf(s.numerator) / s.denominator
+        reference = _power_reference(module.SIDE.stride, exact_s, n_terms, mpmath)
+        if module is ge:
+            assert _bits(terms) == _bits([complex(t) for t in reference])
+            return
+        pref = mpmath.power(2, exact_s - 1) / exact_s
+        bound = (math.log(2) * (abs(s) + abs(s - 1)) + 8) * 2**-53
+        for a, (got, want) in enumerate(zip(terms, reference)):
+            value = pref * want.real
+            assert got.imag == 0 and abs(got.real - value) <= bound * abs(value), a
 
 
 def _exact_reference(side, s, n_terms, pref=None):
@@ -229,7 +255,7 @@ def test_a_real_s_beyond_the_float_range_raises_before_any_work(monkeypatch, mod
         raise AssertionError("the bounds were computed")
 
     monkeypatch.setattr(fs, "_row_bounds", fail)
-    monkeypatch.setattr(fs, "_term_bounds", fail)
+    monkeypatch.setattr(fs, "_horner_bounds", fail)
     for path in fs.PATHS:
         with pytest.raises(OverflowError):
             module.expansion_terms(Fraction(10**999), 1000, path)
@@ -445,26 +471,35 @@ def test_fixed_rows_stay_within_their_bound(data, stride, prec, n):
             assert abs(row[b] - g[b] * 2**prec) <= bounds[a]
 
 
+@pytest.mark.parametrize("path", fs.PATHS)
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), stride=st.sampled_from((1, 2)), prec=st.integers(1, 80),
-       n=st.integers(2, 40))
-def test_horner_sums_stay_within_their_bound(data, stride, prec, n):
-    # the direct path's value of each weight row lies within
-    # (E[a] + 1) sum_b |beta_b| of A_a(s) 2**prec, and so within its bound
-    s = data.draw(st.one_of(_rationals(-1), st.integers(0, 60).map(Fraction)))
+@given(s=st.one_of(_rationals(-1), st.integers(0, 60).map(Fraction)),
+       stride=st.sampled_from((1, 2)), prec=st.integers(1, 80), n=st.integers(2, 40))
+@example(s=Fraction(5, 4), stride=2, prec=15, n=4)  # a radius of E[a] misses term 3
+def test_row_values_stay_within_their_radius(path, s, stride, prec, n):
+    # the interval that _fixed_terms builds for term a at precision prec,
+    # the path's value of row a (q D) plus or minus its radius, holds
+    # q A_a(s) 2**prec: Horner's mass on the direct path, a E[a] on the
+    # recurrence path. On the direct path the radius err[a] is also at
+    # least the analytic mass (E[a] + 1) sum_b |beta_b| that bounds
+    # Horner's error, beta_b = (-1)**b (s)_b/b!
     p, q = s.numerator, s.denominator
-    bounds = fs._row_bounds(stride, -1, 1, n)
-    errs = fs._term_bounds(bounds, p, q, "direct")
+    intervals = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fs, "_start_precision", lambda *args: prec)
+        patch.setattr(fs, "_round_interval", lambda lo, hi, den: intervals.append((lo, hi)))
+        list(fs._fixed_terms(stride, p, q, n, path))
+    assert len(intervals) == n - 1
     triangle = {1: ge.TRIANGLE, 2: ze.TRIANGLE}[stride]  # T[r,b] in row a
-    width = p + 1 if q == 1 else math.inf
-    for a, row in enumerate(fs._fixed_rows(stride, -1, 1, n, prec, width), 1):
+    bounds = fs._row_bounds(stride, -1, 1, n)  # E[a] of the weight rows
+    for a, (lo, hi) in enumerate(intervals, 1):
         r, exact = stride * a, triangle.row(a)
-        beta = [Fraction((-1) ** b) * math.prod(s - j for j in range(b)) / factorial(b)
-                for b in range(a + 1)]  # (-1)**b (s)_b/b!
-        value = sum(Fraction(exact[b] * factorial(b), factorial(r + b)) * (-1) ** b * beta[b]
-                    for b in range(1, a + 1)) * 2**prec  # A_a(s) 2**prec
-        error = abs(Fraction(fs._horner(row, p, q), q) - value)
-        assert error <= (bounds[a] + 1) * sum(map(abs, beta[1:])) <= errs[a]
+        value = q * 2**prec * sum(exact[b] * math.prod(s - j for j in range(b)) / factorial(r + b)
+                                  for b in range(1, a + 1))  # q A_a(s) 2**prec
+        assert lo <= value <= hi, a
+        if path == "direct":
+            beta = [math.prod(s - j for j in range(b)) / factorial(b) for b in range(1, a + 1)]
+            assert (bounds[a] + 1) * sum(map(abs, beta)) <= (hi - lo) // (2 * q), a
 
 
 @settings(max_examples=24, deadline=None)

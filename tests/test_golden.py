@@ -20,7 +20,8 @@ product took complex K and before the eta oracle read its weights from
 a per-order float table. ``refusals.json`` was captured before the
 checks on s moved from the two sides into the engine; its rows for the
 prefactor's overflow from Re(s) = 1025 on were added after the message
-for it was mended.
+for it was mended, and its four ``gamma --s=180`` rows were re-captured
+when the Gamma oracle's message for real s beyond its range was.
 
 Every term's bits on both backends and paths, the exact and float
 coefficient helpers, the quadrature results (value and error bits,

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -71,10 +72,13 @@ class TestGammaRef:
         # from Re s ~ 143 on, t**(z+0.5) overflows before Gamma(s) does
         assert gamma_ref(s).real == pytest.approx(math.gamma(s), rel=2e-15)
 
-    @pytest.mark.parametrize("s", [1000 + 1000j, 1e5 + 1e5j, 1e10 + 1e10j])
+    @pytest.mark.parametrize("s", [1000 + 1000j, 1e5 + 1e5j, 1e10 + 1e10j,
+                                   181.0, 1000.5, 1024.5, 1e20])
     def test_a_lanczos_value_beyond_the_float_range_is_a_domain_error(self, s):
-        # the power and the exponential of the Lanczos form meet as inf and 0
-        with pytest.raises(DomainError, match="out of float range"):
+        # the power and the exponential of the Lanczos form meet as inf and 0;
+        # at real s from ~1000 on a half of the power overflows by itself
+        with pytest.raises(DomainError, match=re.escape(
+                f"Gamma oracle out of float range at s = {complex(s)!r}")):
             gamma_ref(s)
 
 
@@ -89,6 +93,12 @@ class TestEtaZetaRef:
             one = eta_ref(s, acceleration_order=40)
             two = eta_ref(s, acceleration_order=60)
             assert abs(one - two) <= 1e-12 * max(1.0, abs(one))
+
+    @pytest.mark.parametrize("s", [200.0, 1024.5, 1e20, 1024.5 + 1j])
+    def test_terms_beyond_the_float_range_are_zero(self, s):
+        # (k+1)**s overflows, so its term w/(k+1)**s is 0.0, and eta(s)
+        # rounds to the first term
+        assert eta_ref(s) == 1
 
     def test_domain_and_pole_errors(self):
         with pytest.raises(DomainError):
